@@ -1,27 +1,25 @@
-"""Hot numeric loops with a numba backend and a pure-numpy fallback.
+"""The two sequential loops, compiled with numba when it is available.
 
 The decision process is stored flat: per-state action slots in one set of
 parallel arrays (``offsets`` segments them by state, ``dest``/``p``/``r``
 give each slot's destination state, success probability, and success-arrival
-reward; failure keeps the agent in place with reward 0).  Everything here
-works on those arrays only, so the same functions serve compilation targets
-and plain Python.
+reward; failure keeps the agent in place with reward 0).  The loops here
+work on those arrays only, so the same functions serve as compilation
+targets and as plain Python: the tabular Q-learning episode and the greedy
+rollout.  Value iteration and policy extraction are vectorized numpy in
+:mod:`cybermdp.mdp` on every backend.
 
 Backend selection happens once at import via the ``CYBERMDP_BACKEND``
 environment variable: ``numba`` (default, falls back silently if numba is
-not importable) compiles the sequential loops with ``@njit``; ``numpy`` uses
-a vectorized value-iteration sweep and keeps the sequential episode loops as
+not importable) compiles both loops with ``@njit``; ``numpy`` runs them as
 plain Python.  Both backends produce bit-identical results for the same
-seeds: numba's Generator methods reproduce numpy's streams exactly, max
-reductions are order-insensitive, and the vectorized sweep evaluates the
-same scalar expression chain as the loop.  test_kernels.py asserts this.
+seeds, because numba's Generator methods reproduce numpy's streams exactly;
+test_kernels.py compares the compiled dispatchers with their Python twins.
 """
 
 from __future__ import annotations
 
 import os
-
-import numpy as np
 
 _requested = os.environ.get("CYBERMDP_BACKEND", "numba").strip().lower()
 if _requested not in ("numba", "numpy"):
@@ -39,118 +37,6 @@ if _requested == "numba":
         HAS_NUMBA = False
 
 BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# Value iteration
-# ---------------------------------------------------------------------------
-
-
-def _value_iteration_loop(offsets, dest, p, r, gamma, tol, max_iters):
-    """Jacobi sweeps until the sup-norm residual drops to tol.
-
-    Action value: q = p * (r + gamma * V[dest]) + (1 - p) * (gamma * V[s]);
-    states without actions are absorbing at value 0.
-    Returns (values, iterations, residual).
-    """
-
-    n = offsets.shape[0] - 1
-    v = np.zeros(n, dtype=np.float64)
-    v_new = np.zeros(n, dtype=np.float64)
-    residual = np.inf
-    it = 0
-    while it < max_iters:
-        residual = 0.0
-        for s in range(n):
-            lo = offsets[s]
-            hi = offsets[s + 1]
-            if hi == lo:
-                nv = 0.0
-            else:
-                nv = -np.inf
-                for k in range(lo, hi):
-                    q = p[k] * (r[k] + gamma * v[dest[k]]) + (1.0 - p[k]) * (
-                        gamma * v[s]
-                    )
-                    if q > nv:
-                        nv = q
-            diff = abs(nv - v[s])
-            if diff > residual:
-                residual = diff
-            v_new[s] = nv
-        v, v_new = v_new, v
-        it += 1
-        if residual <= tol:
-            break
-    return v, it, residual
-
-
-def _value_iteration_vectorized(offsets, dest, p, r, gamma, tol, max_iters):
-    """Vectorized twin of the loop sweep; bit-identical results."""
-
-    n = offsets.shape[0] - 1
-    m = dest.shape[0]
-    v = np.zeros(n, dtype=np.float64)
-    widths = np.diff(offsets)
-    state_of_slot = np.repeat(np.arange(n, dtype=np.int64), widths)
-    one_minus_p = 1.0 - p
-    # reduceat segments must start at the true offsets of states that own
-    # slots; clamping every offset instead would fold a trailing actionless
-    # state's start back into the previous state's segment and truncate it.
-    live = widths > 0
-    live_starts = offsets[:-1][live]
-    residual = np.inf
-    it = 0
-    while it < max_iters:
-        if m > 0:
-            q = p * (r + gamma * v[dest]) + one_minus_p * (gamma * v[state_of_slot])
-            nv = np.zeros(n, dtype=np.float64)
-            nv[live] = np.maximum.reduceat(q, live_starts)
-        else:
-            nv = np.zeros(n, dtype=np.float64)
-        residual = float(np.max(np.abs(nv - v))) if n > 0 else 0.0
-        v = nv
-        it += 1
-        if residual <= tol:
-            break
-    return v, it, residual
-
-
-def _greedy_policy_loop(offsets, dest, p, r, gamma, v):
-    """Greedy local action index per state; ties break to the lowest index.
-
-    States without actions get -1.
-    """
-
-    n = offsets.shape[0] - 1
-    policy = np.full(n, -1, dtype=np.int64)
-    for s in range(n):
-        lo = offsets[s]
-        hi = offsets[s + 1]
-        if hi == lo:
-            continue
-        best = -np.inf
-        best_k = lo
-        for k in range(lo, hi):
-            q = p[k] * (r[k] + gamma * v[dest[k]]) + (1.0 - p[k]) * (gamma * v[s])
-            if q > best:
-                best = q
-                best_k = k
-        policy[s] = best_k - lo
-    return policy
-
-
-def _action_values_loop(offsets, dest, p, r, gamma, v, s):
-    """One state's action values under fixed state values v."""
-
-    lo = offsets[s]
-    hi = offsets[s + 1]
-    out = np.empty(hi - lo, dtype=np.float64)
-    for k in range(lo, hi):
-        out[k - lo] = p[k] * (r[k] + gamma * v[dest[k]]) + (1.0 - p[k]) * (
-            gamma * v[s]
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +180,8 @@ def _greedy_rollout_loop(
 # ---------------------------------------------------------------------------
 
 if BACKEND == "numba":
-    value_iteration_kernel = njit(cache=True)(_value_iteration_loop)
-    greedy_policy_kernel = njit(cache=True)(_greedy_policy_loop)
-    action_values_kernel = njit(cache=True)(_action_values_loop)
     q_episode_kernel = njit(cache=True)(_q_episode_loop)
     greedy_rollout_kernel = njit(cache=True)(_greedy_rollout_loop)
 else:
-    value_iteration_kernel = _value_iteration_vectorized
-    greedy_policy_kernel = _greedy_policy_loop
-    action_values_kernel = _action_values_loop
     q_episode_kernel = _q_episode_loop
     greedy_rollout_kernel = _greedy_rollout_loop

@@ -15,9 +15,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .graph import PROTOCOL_ORDER, AttackGraph, Protocol
 from .mdp import Mdp, build_cvss_mdp
-from .solver import QFunction, TrainConfig, TrainResult, train
+from .solver import TabularQ, TrainConfig, TrainResult, train
 from .terrain import TerrainConfig, TerrainMode, apply_terrain
 
 # Fixed tags mixed into the seed so rollout streams are distinct from the
@@ -101,7 +102,7 @@ def extract_path(trace: EpisodeTrace | Sequence[str]) -> PathExtraction:
 
 def rollout_greedy(
     mdp: Mdp,
-    q: QFunction,
+    q: TabularQ,
     rng: np.random.Generator,
     max_steps: int = 2500,
 ) -> EpisodeTrace:
@@ -113,38 +114,30 @@ def rollout_greedy(
 
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
-    states: list[str] = []
-    next_states: list[str] = []
-    rewards: list[float] = []
-    total = 0.0
-    s = mdp.initial_state
-    reached = False
-    for _ in range(max_steps):
-        row = np.asarray(q.action_values(s))
-        if row.size == 0:
-            break
-        a = int(np.argmax(row))
-        slot = int(mdp.action_offsets[s]) + a
-        if rng.random() < mdp.action_success[slot]:
-            s2 = int(mdp.action_dest[slot])
-            reward = float(mdp.action_reward[slot])
-        else:
-            s2 = s
-            reward = 0.0
-        states.append(mdp.vertex_id(s))
-        next_states.append(mdp.vertex_id(s2))
-        rewards.append(reward)
-        total += reward
-        s = s2
-        if s == mdp.terminal_state:
-            reached = True
-            break
+    out_state = np.empty(max_steps, dtype=np.int64)
+    out_next = np.empty(max_steps, dtype=np.int64)
+    out_reward = np.empty(max_steps, dtype=np.float64)
+    steps, total, reached = _kernels.greedy_rollout_kernel(
+        mdp.action_offsets,
+        mdp.action_dest,
+        mdp.action_success,
+        mdp.action_reward,
+        q.values,
+        mdp.initial_state,
+        mdp.terminal_state,
+        max_steps,
+        rng,
+        out_state,
+        np.empty(max_steps, dtype=np.int64),  # chosen slots, unused here
+        out_reward,
+        out_next,
+    )
     return EpisodeTrace(
-        states=tuple(states),
-        next_states=tuple(next_states),
-        rewards=tuple(rewards),
-        total_reward=total,
-        reached_terminal=reached,
+        states=tuple(mdp.states[s] for s in out_state[:steps].tolist()),
+        next_states=tuple(mdp.states[s] for s in out_next[:steps].tolist()),
+        rewards=tuple(out_reward[:steps].tolist()),
+        total_reward=float(total),
+        reached_terminal=bool(reached),
     )
 
 
@@ -290,10 +283,6 @@ def protocol_sweep(
     if not isinstance(mode, TerrainMode) or mode is TerrainMode.VANILLA:
         raise ValueError("protocol_sweep needs a terrain mode (reward or state)")
     chosen = tuple(protocols) if protocols is not None else PROTOCOL_ORDER
-    base = build_cvss_mdp(graph, gamma=gamma)
-    out: dict[Protocol, VariantMetrics] = {}
-    for protocol in chosen:
-        cfg = TerrainConfig(mode=mode, strength=strength, restrict=protocol)
-        adjusted = apply_terrain(base, graph, cfg)
-        out[protocol] = evaluate_variant(cfg.label(), adjusted, train_cfg)
-    return out
+    variants = [TerrainConfig(mode=mode, strength=strength, restrict=p) for p in chosen]
+    report = compare_variants(graph, variants, train_cfg, gamma=gamma)
+    return dict(zip(chosen, report.variants))

@@ -16,7 +16,8 @@ at the initial vertex pays exactly 0.01, and any action whose destination
 cannot reach the terminal at all pays exactly -1.
 
 ``value_iteration`` solves the compiled process exactly and is the oracle
-the learning agents are measured against.
+the learning agents are measured against; ``slot_values`` is the one
+action-value backup it, the policy extraction and ``action_values`` share.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Any
 
 import numpy as np
 
-from . import _kernels
 from .graph import (
     AttackGraph,
     Complexity,
@@ -119,6 +119,8 @@ class Mdp:
     ``terrain_mode`` records which adjustment (if any) produced this
     process: "vanilla", "reward", or "state"; ``terrain_strength`` and
     ``terrain_restrict`` record the adjustment's parameters.
+
+    ``slot_state[k]``, the state that owns slot k, is derived once here.
     """
 
     states: tuple[str, ...]
@@ -133,6 +135,7 @@ class Mdp:
     terrain_strength: float = 0.0
     terrain_restrict: str | None = None
 
+    slot_state: np.ndarray = field(init=False, repr=False)
     _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -153,8 +156,11 @@ class Mdp:
             raise ValueError("action arrays must have equal length")
         if dest.size and (dest.min() < 0 or dest.max() >= n):
             raise ValueError("action_dest indexes outside the state set")
-        if np.any(success < 0.0) or np.any(success > 1.0):
+        # Written so that NaN fails the range test.
+        if not np.all((success >= 0.0) & (success <= 1.0)):
             raise ValueError("success probabilities must lie in [0, 1]")
+        if not np.all(np.isfinite(reward)):
+            raise ValueError("action rewards must be finite")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
         if not 0 <= self.initial_state < n or not 0 <= self.terminal_state < n:
@@ -164,13 +170,15 @@ class Mdp:
         if offsets[self.terminal_state] != offsets[self.terminal_state + 1]:
             raise ValueError("the terminal state must have no actions")
 
-        for arr in (offsets, dest, success, reward):
+        slot_state = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        for arr in (offsets, dest, success, reward, slot_state):
             arr.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "action_offsets", offsets)
         object.__setattr__(self, "action_dest", dest)
         object.__setattr__(self, "action_success", success)
         object.__setattr__(self, "action_reward", reward)
+        object.__setattr__(self, "slot_state", slot_state)
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "_index", {sid: i for i, sid in enumerate(states)})
         if len(self._index) != n:
@@ -349,14 +357,41 @@ class ValueResult:
         self.policy.setflags(write=False)
 
 
+def slot_values(mdp: Mdp, values: np.ndarray, slots: slice = slice(None)) -> np.ndarray:
+    """Action value of every slot (or of the ``slots`` range) under fixed
+    state values ``V``.
+
+    Slot k owned by state s scores p[k] * (r[k] + gamma * V[dest[k]]) +
+    (1 - p[k]) * gamma * V[s]: success pays the arrival reward and moves on,
+    failure stays put for nothing.  Every Bellman backup in the package goes
+    through this one expression.
+    """
+
+    p = mdp.action_success[slots]
+    gamma = mdp.gamma
+    return p * (mdp.action_reward[slots] + gamma * values[mdp.action_dest[slots]]) + (
+        1.0 - p
+    ) * (gamma * values[mdp.slot_state[slots]])
+
+
+def action_values(mdp: Mdp, values: np.ndarray, state: int) -> np.ndarray:
+    """Action values of one state under fixed state values."""
+
+    lo, hi = mdp.action_offsets[state], mdp.action_offsets[state + 1]
+    return slot_values(mdp, values, slice(lo, hi))
+
+
 def value_iteration(mdp: Mdp, tol: float = 1e-8, max_iters: int = 100_000) -> ValueResult:
     """Solve the process to Bellman optimality within ``tol`` (sup norm).
 
-    After the sweep loop reports convergence, one extra verification sweep
+    Jacobi sweeps from V = 0; states without actions are absorbing at value
+    0.  After the sweep loop reports convergence, one extra backup
     recomputes the residual from scratch; the result carries that verified
-    number.  Raises :class:`ConvergenceError` when max_iters sweeps are not
-    enough (e.g. gamma = 1 on a graph whose cycles carry positive reward,
-    where no finite fixed point exists).
+    number, and the policy is that backup's greedy choice, ties to the
+    lowest action index.  Raises :class:`ConvergenceError` when max_iters
+    sweeps are not enough (e.g. gamma = 1 on a graph whose cycles carry
+    positive reward, where no finite fixed point exists) or when the values
+    stop being finite.
     """
 
     if tol <= 0:
@@ -364,72 +399,50 @@ def value_iteration(mdp: Mdp, tol: float = 1e-8, max_iters: int = 100_000) -> Va
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
 
-    values, iterations, residual = _kernels.value_iteration_kernel(
-        mdp.action_offsets,
-        mdp.action_dest,
-        mdp.action_success,
-        mdp.action_reward,
-        mdp.gamma,
-        tol,
-        max_iters,
-    )
-    if residual > tol:
+    n = mdp.num_states
+    live = np.diff(mdp.action_offsets) > 0
+    # reduceat segments must start at the true offsets of states that own
+    # slots; clamping every offset instead would fold a trailing actionless
+    # state's start back into the previous state's segment and truncate it.
+    starts = mdp.action_offsets[:-1][live]
+
+    def backup(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = slot_values(mdp, values)
+        best = np.zeros(n, dtype=np.float64)
+        if q.size:
+            best[live] = np.maximum.reduceat(q, starts)
+        return q, best
+
+    values = np.zeros(n, dtype=np.float64)
+    residual = np.inf
+    iterations = 0
+    while iterations < max_iters:
+        new = backup(values)[1]
+        residual = float(np.max(np.abs(new - values)))
+        values = new
+        iterations += 1
+        if residual <= tol or not np.isfinite(residual):
+            break  # a value that overflowed never becomes finite again
+    # Written as "not <=" so that a NaN residual fails the test too.
+    if not residual <= tol:
         raise ConvergenceError(
             f"value iteration still above tolerance after {iterations} sweeps "
             f"(residual {residual:.3e} > tol {tol:.3e})",
-            residual=float(residual),
+            residual=residual,
         )
     # Independent re-check: one more backup applied to the reported values
     # must also stay within tolerance.
-    check = _one_sweep_residual(mdp, values)
-    if check > tol:
+    q, best = backup(values)
+    check = float(np.max(np.abs(best - values)))
+    if not check <= tol:
         raise ConvergenceError(
             f"post-hoc residual check failed ({check:.3e} > tol {tol:.3e})",
-            residual=float(check),
+            residual=check,
         )
-    policy = _kernels.greedy_policy_kernel(
-        mdp.action_offsets,
-        mdp.action_dest,
-        mdp.action_success,
-        mdp.action_reward,
-        mdp.gamma,
-        values,
-    )
-    return ValueResult(
-        values=values, policy=policy, iterations=int(iterations), residual=float(check)
-    )
-
-
-def _one_sweep_residual(mdp: Mdp, values: np.ndarray) -> float:
-    """Sup-norm change of one Bellman backup applied to ``values``."""
-
-    n = mdp.num_states
-    offsets = mdp.action_offsets
-    dest = mdp.action_dest
-    p = mdp.action_success
-    r = mdp.action_reward
-    nv = np.zeros(n)
-    if mdp.num_action_slots:
-        state_of_slot = np.repeat(np.arange(n), np.diff(offsets))
-        q = p * (r + mdp.gamma * values[dest]) + (1.0 - p) * (
-            mdp.gamma * values[state_of_slot]
-        )
-        # Segment starts must come only from states that own slots; see the
-        # matching note in the vectorized sweep kernel.
-        live = np.diff(offsets) > 0
-        nv[live] = np.maximum.reduceat(q, offsets[:-1][live])
-    return float(np.max(np.abs(nv - values)))
-
-
-def action_values(mdp: Mdp, values: np.ndarray, state: int) -> np.ndarray:
-    """Action values of one state under fixed state values."""
-
-    return _kernels.action_values_kernel(
-        mdp.action_offsets,
-        mdp.action_dest,
-        mdp.action_success,
-        mdp.action_reward,
-        mdp.gamma,
-        values,
-        state,
-    )
+    policy = np.full(n, -1, dtype=np.int64)
+    if q.size:
+        # The first slot of each segment that attains the segment's max.
+        slot = np.arange(q.size)
+        hits = np.where(q == best[mdp.slot_state], slot, q.size)
+        policy[live] = np.minimum.reduceat(hits, starts) - starts
+    return ValueResult(values=values, policy=policy, iterations=iterations, residual=check)

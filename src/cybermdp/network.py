@@ -11,16 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def encode_state(state: int, num_states: int) -> np.ndarray:
-    """One-hot row vector for a single state index."""
-
-    if not 0 <= state < num_states:
-        raise IndexError(f"state {state} outside [0, {num_states})")
-    x = np.zeros(num_states, dtype=np.float64)
-    x[state] = 1.0
-    return x
-
-
 def encode_states(states: np.ndarray, num_states: int) -> np.ndarray:
     """One-hot batch matrix, one row per state index."""
 
@@ -86,17 +76,26 @@ class QNetwork:
         return h, cache
 
     def q_row(self, state: int) -> np.ndarray:
-        """Action values of one state; first layer reduces to a column pick."""
+        """Action values of one state; first layer reduces to a row pick."""
 
-        h = self.weights[0][state] + self.biases[0]
-        last = len(self.weights) - 1
-        if last == 0:
-            return h
-        np.maximum(h, 0.0, out=h)
-        for i in range(1, len(self.weights)):
-            h = h @ self.weights[i] + self.biases[i]
-            if i != last:
-                np.maximum(h, 0.0, out=h)
+        return self._after_first_layer(self.weights[0][state] + self.biases[0])
+
+    def q_table(self) -> np.ndarray:
+        """Action values of every state, one row per state index.
+
+        The one-hot batch of all states is the identity, so the first layer
+        reduces to its whole weight matrix.  Rows can differ from
+        :meth:`q_row` in the last bits, because a matrix product sums in a
+        different order than a vector product.
+        """
+
+        return self._after_first_layer(self.weights[0] + self.biases[0])
+
+    def _after_first_layer(self, h: np.ndarray) -> np.ndarray:
+        # h is a fresh pre-activation array, so the ReLUs may work in place.
+        for w, b in zip(self.weights[1:], self.biases[1:]):
+            np.maximum(h, 0.0, out=h)
+            h = h @ w + b
         return h
 
     # -- parameter handling ---------------------------------------------------

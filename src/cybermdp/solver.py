@@ -14,12 +14,14 @@ configured seed, so a run is exactly repeatable.
 ``_kernels``); ``dqn`` trains the plain-numpy network from
 :mod:`cybermdp.network` with uniform experience replay (a ring buffer, so
 eviction is oldest-first), a hard-synced target copy, and vanilla SGD.
+Either way the result is a :class:`TabularQ`: the trained network's values
+are read out once into the same per-slot layout, so greedy evaluation runs
+through the one rollout kernel for both algorithms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol as TypingProtocol
 
 import numpy as np
 
@@ -153,12 +155,6 @@ def q_update(
     return q_value + alpha * (target - q_value)
 
 
-class QFunction(TypingProtocol):
-    """Anything that can score a state's admissible actions."""
-
-    def action_values(self, state: int) -> np.ndarray: ...
-
-
 @dataclass(frozen=True, eq=False)
 class TabularQ:
     """Flat per-slot action values aligned with an Mdp's action arrays."""
@@ -170,17 +166,6 @@ class TabularQ:
         lo = int(self.action_offsets[state])
         hi = int(self.action_offsets[state + 1])
         return self.values[lo:hi]
-
-
-@dataclass(frozen=True, eq=False)
-class DqnQ:
-    """Network-backed action values, trimmed to each state's slot count."""
-
-    net: QNetwork
-    action_counts: np.ndarray
-
-    def action_values(self, state: int) -> np.ndarray:
-        return self.net.q_row(state)[: int(self.action_counts[state])]
 
 
 class ReplayBuffer:
@@ -234,7 +219,7 @@ class TrainResult:
     """Trained value function plus the evaluation learning curve
     ((episode number, greedy total reward) pairs)."""
 
-    q: QFunction
+    q: TabularQ
     curve: LearningCurve
 
 
@@ -304,30 +289,11 @@ def _train_tabular(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
     )
 
 
-def _dqn_eval_total(
-    mdp: Mdp,
-    net: QNetwork,
-    action_counts: np.ndarray,
-    max_steps: int,
-    rng: np.random.Generator,
-) -> float:
-    total = 0.0
-    s = mdp.initial_state
-    for _ in range(max_steps):
-        n_a = int(action_counts[s])
-        if n_a == 0:
-            break
-        a = int(np.argmax(net.q_row(s)[:n_a]))
-        slot = int(mdp.action_offsets[s]) + a
-        if rng.random() < mdp.action_success[slot]:
-            s2 = int(mdp.action_dest[slot])
-            total += float(mdp.action_reward[slot])
-        else:
-            s2 = s
-        s = s2
-        if s == mdp.terminal_state:
-            break
-    return total
+def _network_slot_values(mdp: Mdp, net: QNetwork) -> np.ndarray:
+    """The network's action values gathered into the Mdp's per-slot layout."""
+
+    local = np.arange(mdp.num_action_slots) - mdp.action_offsets[mdp.slot_state]
+    return net.q_table()[mdp.slot_state, local]
 
 
 def _train_dqn(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
@@ -387,12 +353,14 @@ def _train_dqn(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
             if done:
                 break
         if (episode + 1) % cfg.eval_interval == 0:
-            total = _dqn_eval_total(
-                mdp, net, action_counts, cfg.max_steps_per_episode, rng_eval
+            total = _greedy_eval_total(
+                mdp, _network_slot_values(mdp, net), cfg.max_steps_per_episode, rng_eval
             )
             curve.append((episode + 1, total))
+    q = _network_slot_values(mdp, net)
+    q.setflags(write=False)
     return TrainResult(
-        q=DqnQ(net=net, action_counts=action_counts), curve=tuple(curve)
+        q=TabularQ(action_offsets=mdp.action_offsets, values=q), curve=tuple(curve)
     )
 
 

@@ -3,7 +3,8 @@
 The numba and numpy backends must be bit-identical, not merely close: the
 same seeds must yield the same artifacts regardless of which backend built
 them.  These tests compare the compiled dispatchers against their pure
-Python twins and the vectorized sweep against the sequential one.
+Python twins, and value iteration's vectorized backup against the scalar
+sweep in oracles.py.
 """
 
 from __future__ import annotations
@@ -16,15 +17,11 @@ import numpy as np
 import pytest
 
 from cybermdp import _kernels
-from cybermdp._kernels import (
-    _greedy_policy_loop,
-    _greedy_rollout_loop,
-    _q_episode_loop,
-    _value_iteration_loop,
-    _value_iteration_vectorized,
-)
-from cybermdp.mdp import build_cvss_mdp
+from conftest import make_mdp
+from cybermdp._kernels import _greedy_rollout_loop, _q_episode_loop
+from cybermdp.mdp import build_cvss_mdp, value_iteration
 from cybermdp.netgen import TopologyParams, generate
+from oracles import scalar_value_iteration
 
 needs_numba = pytest.mark.skipif(
     not _kernels.HAS_NUMBA, reason="numba backend not active"
@@ -41,75 +38,40 @@ def fresh_gen(seed: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def assert_matches_scalar_loop(mdp, tol, max_iters):
+    res = value_iteration(mdp, tol=tol, max_iters=max_iters)
+    values, iterations, residual = scalar_value_iteration(mdp, tol, max_iters)
+    assert res.iterations == iterations
+    assert res.residual == residual
+    np.testing.assert_array_equal(res.values, values)
+    return res
+
+
 class TestVectorizedSweep:
     def test_bit_identical_to_loop(self, arrays):
-        mdp = arrays
-        args = (
-            mdp.action_offsets, mdp.action_dest, mdp.action_success,
-            mdp.action_reward, 0.9, 1e-10, 100_000,
-        )
-        v_loop, it_loop, res_loop = _value_iteration_loop(*args)
-        v_vec, it_vec, res_vec = _value_iteration_vectorized(*args)
-        assert it_loop == it_vec
-        assert res_loop == res_vec
-        np.testing.assert_array_equal(v_loop, v_vec)
+        assert_matches_scalar_loop(arrays, 1e-10, 100_000)
 
     def test_handles_degenerate_process(self):
-        offsets = np.array([0, 1, 1], dtype=np.int64)
-        dest = np.array([1], dtype=np.int64)
-        p = np.array([1.0])
-        r = np.array([10.0])
-        v_loop = _value_iteration_loop(offsets, dest, p, r, 0.9, 1e-10, 100)[0]
-        v_vec = _value_iteration_vectorized(offsets, dest, p, r, 0.9, 1e-10, 100)[0]
-        np.testing.assert_array_equal(v_loop, v_vec)
-        assert v_loop[0] == 10.0
+        mdp = make_mdp(states=("a", "t"), actions=[[(1, 1.0, 10.0)], []], gamma=0.9)
+        res = assert_matches_scalar_loop(mdp, 1e-10, 100)
+        assert res.values[0] == 10.0
 
     def test_multiaction_state_before_trailing_actionless_states(self):
         # The last slot-owning state has several actions and everything
         # after it has none; its reduceat segment must still cover all of
         # its slots, not stop at a clamped successor start.
-        offsets = np.array([0, 3, 3, 3], dtype=np.int64)
-        dest = np.array([2, 2, 1], dtype=np.int64)
-        p = np.array([0.3, 0.9, 0.5])
-        r = np.array([100.0, 100.0, -1.0])
-        args = (offsets, dest, p, r, 0.9, 1e-10, 100_000)
-        v_loop, it_loop, res_loop = _value_iteration_loop(*args)
-        v_vec, it_vec, res_vec = _value_iteration_vectorized(*args)
-        assert it_loop == it_vec
-        assert res_loop == res_vec
-        np.testing.assert_array_equal(v_loop, v_vec)
+        mdp = make_mdp(
+            states=("a", "x", "t"),
+            actions=[[(2, 0.3, 100.0), (2, 0.9, 100.0), (1, 0.5, -1.0)], [], []],
+            gamma=0.9,
+        )
+        res = assert_matches_scalar_loop(mdp, 1e-10, 100_000)
         # Fixed point of the better action: v = 0.9*100 + 0.09*v.
-        assert v_loop[0] == pytest.approx(90.0 / 0.91, abs=1e-8)
+        assert res.values[0] == pytest.approx(90.0 / 0.91, abs=1e-8)
 
 
 @needs_numba
 class TestNumbaEquivalence:
-    def test_value_iteration_dispatcher_matches_python(self, arrays):
-        mdp = arrays
-        args = (
-            mdp.action_offsets, mdp.action_dest, mdp.action_success,
-            mdp.action_reward, 0.9, 1e-10, 100_000,
-        )
-        compiled = _kernels.value_iteration_kernel(*args)
-        plain = _kernels.value_iteration_kernel.py_func(*args)
-        np.testing.assert_array_equal(compiled[0], plain[0])
-        assert compiled[1:] == plain[1:]
-
-    def test_greedy_policy_dispatcher_matches_python(self, arrays):
-        mdp = arrays
-        v = _kernels.value_iteration_kernel(
-            mdp.action_offsets, mdp.action_dest, mdp.action_success,
-            mdp.action_reward, 0.9, 1e-10, 100_000,
-        )[0]
-        args = (
-            mdp.action_offsets, mdp.action_dest, mdp.action_success,
-            mdp.action_reward, 0.9, v,
-        )
-        np.testing.assert_array_equal(
-            _kernels.greedy_policy_kernel(*args),
-            _kernels.greedy_policy_kernel.py_func(*args),
-        )
-
     def test_episode_dispatcher_matches_python(self, arrays):
         mdp = arrays
         q_c = np.zeros(mdp.num_action_slots)

@@ -322,6 +322,14 @@ class TestMdpInvariants:
         with pytest.raises(ValueError, match="probabilit"):
             make_mdp(states=("a", "b"), actions=[[(1, p, 1.0)], []], gamma=0.9)
 
+    @pytest.mark.parametrize(
+        "p, r", [(np.nan, 1.0), (0.9, np.inf), (0.9, -np.inf), (0.9, np.nan)]
+    )
+    def test_rejects_non_finite_success_and_reward(self, p, r):
+        # Such a process would make value iteration return NaN or inf values.
+        with pytest.raises(ValueError, match="probabilit|finite"):
+            make_mdp(states=("a", "b"), actions=[[(1, p, r)], []], gamma=0.9)
+
     @pytest.mark.parametrize("gamma", [0.0, -1.0, 1.5])
     def test_rejects_bad_gamma(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
@@ -439,6 +447,42 @@ class TestValueIteration:
         with pytest.raises(ConvergenceError) as err:
             value_iteration(mdp, tol=1e-12, max_iters=2)
         assert err.value.residual > 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_values_raise_instead_of_returning_nan(self):
+        # A finite but huge self-loop reward overflows to inf on the second
+        # sweep and to NaN on the third; a NaN residual must not pass as
+        # converged.
+        mdp = make_mdp(
+            states=("a", "t"),
+            actions=[[(0, 1.0, 1e308), (1, 0.5, 1.0)], []],
+            gamma=0.999,
+        )
+        with pytest.raises(ConvergenceError) as err:
+            value_iteration(mdp, max_iters=50)
+        assert not np.isfinite(err.value.residual)
+
+    def test_policy_is_lowest_index_argmax_of_action_values(self):
+        # Slots 0 and 2 of state a are exact duplicates and the best
+        # actions; slot 1 is worse.  State b ties two identical actions too.
+        tied = make_mdp(
+            states=("a", "b", "t"),
+            actions=[
+                [(2, 0.9, 100.0), (1, 0.9, 1.0), (2, 0.9, 100.0)],
+                [(2, 0.6, 50.0), (2, 0.6, 50.0)],
+                [],
+            ],
+            gamma=0.9,
+        )
+        res = value_iteration(tied)
+        assert res.policy.tolist() == [0, 0, -1]
+        generated = build_cvss_mdp(generate(TopologyParams(3, 6, 0.15, 2, 0.5, seed=4)))
+        for mdp in (tied, generated):
+            res = value_iteration(mdp)
+            for s in range(mdp.num_states):
+                q = action_values(mdp, res.values, s)
+                expected = int(np.argmax(q)) if q.size else -1
+                assert res.policy[s] == expected
 
     @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-8}, {"max_iters": 0}])
     def test_input_validation(self, chain_graph, kwargs):

@@ -12,7 +12,6 @@ import pytest
 
 from cybermdp.network import (
     QNetwork,
-    encode_state,
     encode_states,
     sgd_step,
     td_loss_and_gradients,
@@ -35,15 +34,11 @@ def random_batch(rng: np.random.Generator, net: QNetwork, batch: int):
 
 
 class TestEncoding:
-    def test_one_hot_single(self):
-        np.testing.assert_array_equal(encode_state(0, 3), [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(encode_state(2, 3), [0.0, 0.0, 1.0])
-
     def test_one_hot_bounds(self):
         with pytest.raises(IndexError):
-            encode_state(3, 3)
+            encode_states(np.array([0, 3]), 3)
         with pytest.raises(IndexError):
-            encode_state(-1, 3)
+            encode_states(np.array([-1]), 3)
 
     def test_batch_encoding(self):
         x = encode_states(np.array([1, 0, 1]), 2)
@@ -76,9 +71,19 @@ class TestQNetwork:
             for s in range(6):
                 np.testing.assert_allclose(
                     net.q_row(s),
-                    net.forward(encode_state(s, 6)[None, :])[0],
+                    net.forward(encode_states(np.array([s]), 6))[0],
                     atol=1e-12,
                 )
+
+    def test_q_table_is_the_batch_of_all_states(self):
+        rng = np.random.Generator(np.random.PCG64(12))
+        for hidden in ((), (7,), (16, 8)):
+            net = QNetwork(6, 4, hidden_sizes=hidden, rng=rng)
+            table = net.q_table()
+            assert table.shape == (6, 4)
+            np.testing.assert_allclose(
+                table, net.forward(encode_states(np.arange(6), 6)), atol=1e-12
+            )
 
     def test_deterministic_init_per_rng_seed(self):
         a = QNetwork(5, 3, rng=np.random.Generator(np.random.PCG64(3)))

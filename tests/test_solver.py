@@ -7,16 +7,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_mdp
+from conftest import DESK_PARAMS, make_mdp
+from cybermdp.graph import Protocol
 from cybermdp.mdp import build_cvss_mdp, value_iteration
-from cybermdp.netgen import TopologyParams, generate
+from cybermdp.netgen import ENTERPRISE_SCALE, TopologyParams, generate, plant_gauntlet
+from cybermdp.network import QNetwork
 from cybermdp.solver import (
     ALGORITHMS,
-    DqnQ,
     ReplayBuffer,
     TabularQ,
     TrainConfig,
     Transition,
+    _network_slot_values,
     epsilon_greedy,
     q_update,
     train,
@@ -145,15 +147,26 @@ class TestValueContainers:
         np.testing.assert_array_equal(q.action_values(1), [3.0])
         assert q.action_values(2).size == 0
 
-    def test_dqn_q_trims_to_slot_count(self):
-        from cybermdp.network import QNetwork
-
-        net = QNetwork(3, 4, rng=np.random.Generator(np.random.PCG64(0)))
-        q = DqnQ(net=net, action_counts=np.array([2, 4, 0]))
+    def test_dqn_train_returns_slot_aligned_tabular_q(self):
+        # State a has two slots, b has one, t none; the network has one
+        # output per slot of the widest state and each state keeps its own.
+        mdp = make_mdp(
+            states=("a", "b", "t"),
+            actions=[[(1, 0.9, 1.0), (2, 0.3, 100.0)], [(2, 0.9, 100.0)], []],
+            gamma=0.9,
+        )
+        cfg = config_with(
+            episodes=4, algorithm="dqn", hidden_layers=(8,), batch_size=4,
+            replay_capacity=50, max_steps_per_episode=20,
+        )
+        q = train(mdp, cfg).q
+        assert isinstance(q, TabularQ)
+        assert q.action_offsets is mdp.action_offsets
+        assert q.values.shape == (mdp.num_action_slots,)
+        assert not q.values.flags.writeable
         assert q.action_values(0).shape == (2,)
-        assert q.action_values(1).shape == (4,)
+        assert q.action_values(1).shape == (1,)
         assert q.action_values(2).size == 0
-        np.testing.assert_array_equal(q.action_values(0), net.q_row(0)[:2])
 
 
 class TestReplayBuffer:
@@ -255,8 +268,7 @@ class TestTraining:
         b = train(training_mdp, cfg)
         assert a.curve == b.curve
         assert len(a.curve) == 12 // cfg.eval_interval
-        for pa, pb in zip(a.q.net.parameters(), b.q.net.parameters()):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(a.q.values, b.q.values)
 
     def test_step_cap_bounds_episode_length(self):
         # Two states, the only action loops back to the start with p = 1,
@@ -280,3 +292,32 @@ class TestTraining:
         result = train(training_mdp, config_with(episodes=8))
         with pytest.raises(ValueError):
             result.q.values[0] = 1.0
+
+
+# Batched and per-row forward passes sum in different orders; 1024 ulps of
+# the row magnitude is far above that rounding and far below any real gap.
+BATCHED_ROW_TOL = 1024 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("hidden", [(64, 64), (16,), ()])
+def test_network_slot_values_match_q_row(hidden):
+    fixtures = (
+        build_cvss_mdp(generate(ENTERPRISE_SCALE)),
+        build_cvss_mdp(generate(DESK_PARAMS)),
+        build_cvss_mdp(plant_gauntlet(DESK_PARAMS, frozenset({Protocol.FTP}))),
+    )
+    for mdp in fixtures:
+        counts = np.diff(mdp.action_offsets)
+        for seed in range(3):
+            net = QNetwork(
+                mdp.num_states, int(counts.max()), hidden,
+                rng=np.random.Generator(np.random.PCG64(seed)),
+            )
+            table = _network_slot_values(mdp, net)
+            for s in range(mdp.num_states):
+                row = net.q_row(s)[: counts[s]]
+                got = table[mdp.action_offsets[s] : mdp.action_offsets[s + 1]]
+                atol = BATCHED_ROW_TOL * max(1.0, float(np.max(np.abs(row), initial=0.0)))
+                np.testing.assert_allclose(got, row, rtol=0.0, atol=atol)
+                if row.size:
+                    assert np.argmax(got) == np.argmax(row)
