@@ -17,6 +17,10 @@ configuration document or such a manifest, so a finished run can be
 reproduced byte-for-byte from its own manifest.  If a command with a
 directory output fails midway, a ``FAILED`` marker file with the error text
 is left next to the partial artifacts.
+
+The resolved configuration is a plain dict of ``TrainConfig``'s fields plus
+the keys of ``RUN_DEFAULTS``; each flag's ``dest`` is its key, and one
+constructor builds every variant's ``TerrainConfig`` from it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .evaluate import (
-    MetricsReport,
     VariantMetrics,
     compare_variants,
     evaluate_variant,
@@ -71,67 +74,22 @@ PRESETS = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Resolved knobs for train/compare, the unit the manifest records."""
+# Defaults of the keys a train/compare configuration adds to TrainConfig's
+# fields (the process and its terrain), and of the TrainConfig fields whose
+# CLI default differs from the library's.
+RUN_DEFAULTS: dict[str, Any] = {
+    "gamma": 0.9,
+    "w": -2.0,
+    "protocol": None,
+    "mode": "reward",
+    "protocols": False,
+    "episodes": 400,
+    "learning_rate": 0.2,
+    "learning_rate_decay": 0.6,
+}
 
-    seed: int = 0
-    gamma: float = 0.9
-    w: float = -2.0
-    protocol: str | None = None
-    mode: str = "reward"
-    protocols: bool = False
-    episodes: int = 400
-    algorithm: str = "tabular"
-    max_steps_per_episode: int = 2500
-    eval_interval: int = 4
-    learning_rate: float = 0.2
-    learning_rate_decay: float = 0.6
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_episodes: int | None = None
-    replay_capacity: int = 10_000
-    batch_size: int = 32
-    target_sync_interval: int = 250
-    hidden_layers: tuple[int, ...] = (64, 64)
-
-    def to_document(self) -> dict[str, Any]:
-        doc = dataclasses.asdict(self)
-        doc["hidden_layers"] = list(self.hidden_layers)
-        return doc
-
-    @classmethod
-    def from_document(cls, doc: dict[str, Any]) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "hidden_layers" in doc:
-            doc = dict(doc)
-            doc["hidden_layers"] = tuple(doc["hidden_layers"])
-        return cls(**doc)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            episodes=self.episodes,
-            algorithm=self.algorithm,
-            max_steps_per_episode=self.max_steps_per_episode,
-            eval_interval=self.eval_interval,
-            gamma=None,  # the process carries gamma
-            learning_rate=self.learning_rate,
-            learning_rate_decay=self.learning_rate_decay,
-            epsilon_start=self.epsilon_start,
-            epsilon_end=self.epsilon_end,
-            epsilon_decay_episodes=self.epsilon_decay_episodes,
-            replay_capacity=self.replay_capacity,
-            batch_size=self.batch_size,
-            target_sync_interval=self.target_sync_interval,
-            hidden_layers=self.hidden_layers,
-            seed=self.seed,
-        )
-
-    def restrict_protocol(self) -> Protocol | None:
-        return Protocol(self.protocol) if self.protocol is not None else None
+# Type of the configuration keys whose default is null.
+_NULLABLE_TYPES: dict[str, type] = {"protocol": str, "epsilon_decay_episodes": int}
 
 
 # ---------------------------------------------------------------------------
@@ -197,45 +155,59 @@ def _parse_protocol(token: str) -> Protocol:
         ) from None
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """defaults < config file (or manifest) < explicit flags."""
+def _check_type(key: str, value: Any, default: Any) -> None:
+    """Reject a config value whose JSON type differs from its default's: a
+    bool is never a number, an int passes for a float, null only for null."""
 
-    doc: dict[str, Any] = {}
-    if args.config is not None:
-        loaded = _load_json(args.config)
-        if not isinstance(loaded, dict):
+    if key == "hidden_layers":
+        expected = "a list of int"
+        ok = isinstance(value, list) and all(type(h) is int for h in value)
+    elif default is None:
+        expected = f"{_NULLABLE_TYPES[key].__name__} or null"
+        ok = value is None or type(value) is _NULLABLE_TYPES[key]
+    else:
+        expected = type(default).__name__
+        ok = type(value) is type(default) or (type(value), type(default)) == (int, float)
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
+
+
+def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
+    """defaults < config file (or manifest) < explicit flags; the result
+    (TrainConfig's fields plus RUN_DEFAULTS' keys) is a run's manifest entry."""
+
+    fields = dataclasses.fields(TrainConfig)
+    cfg = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+    cfg.update(RUN_DEFAULTS)
+    doc: Any = {}
+    if getattr(args, "config", None) is not None:  # build takes no --config
+        doc = _load_json(args.config)
+        if isinstance(doc, dict) and "resolved_config" in doc:
+            doc = doc["resolved_config"]  # a manifest from an earlier run
+        if not isinstance(doc, dict):
             raise GraphFormatError(f"config {args.config}: expected an object")
-        if "resolved_config" in loaded:  # a manifest from an earlier run
-            loaded = loaded["resolved_config"]
-        doc.update(loaded)
-    overrides = {
-        "seed": args.seed,
-        "gamma": args.gamma,
-        "w": args.w,
-        "protocol": args.protocol,
-        "mode": getattr(args, "mode", None),
-        "episodes": args.episodes,
-        "algorithm": args.algorithm,
-        "max_steps_per_episode": args.max_steps,
-        "eval_interval": args.eval_interval,
-        "learning_rate": args.learning_rate,
-        "learning_rate_decay": args.learning_rate_decay,
-    }
-    if getattr(args, "protocols", False):
-        overrides["protocols"] = True
-    for key, value in overrides.items():
-        if value is not None:
-            doc[key] = value
-    return RunConfig.from_document(doc)
+    doc.update((key, getattr(args, key)) for key in cfg if getattr(args, key, None) is not None)
+    unknown = set(doc) - set(cfg)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        _check_type(key, value, cfg[key])
+    cfg.update(doc)
+    if cfg["protocol"] is not None:
+        cfg["protocol"] = _parse_protocol(cfg["protocol"]).value
+    return cfg
 
 
-def _terrain_variants(cfg: RunConfig) -> list[TerrainConfig]:
-    restrict = cfg.restrict_protocol()
-    return [
-        TerrainConfig(mode=TerrainMode.VANILLA),
-        TerrainConfig(mode=TerrainMode.REWARD, strength=cfg.w, restrict=restrict),
-        TerrainConfig(mode=TerrainMode.STATE, restrict=restrict),
-    ]
+def _train_config(cfg: dict[str, Any]) -> TrainConfig:
+    return TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)})
+
+
+def _terrain_config(cfg: dict[str, Any], mode: str | TerrainMode) -> TerrainConfig:
+    """The terrain of one variant; strength and restriction come from cfg."""
+
+    protocol = cfg["protocol"]
+    restrict = _parse_protocol(protocol) if protocol is not None else None
+    return TerrainConfig(mode=TerrainMode(mode), strength=cfg["w"], restrict=restrict)
 
 
 def _variant_document(v: VariantMetrics) -> dict[str, Any]:
@@ -254,13 +226,13 @@ def _variant_document(v: VariantMetrics) -> dict[str, Any]:
 def _write_manifest(
     out_dir: Path,
     command: str,
-    cfg: RunConfig,
+    cfg: dict[str, Any],
     graph_path: str,
     artifact_names: list[str],
 ) -> None:
     manifest = {
         "command": command,
-        "resolved_config": cfg.to_document(),
+        "resolved_config": cfg,
         "graph": graph_path,
         "inputs": {graph_path: _sha256_file(Path(graph_path))},
         "artifacts": {
@@ -340,12 +312,9 @@ def _topology_from_document(doc: Any) -> TopologyParams:
 
 def cmd_build(args: argparse.Namespace) -> int:
     graph = _load_valid_graph(args.graph)
-    gamma = args.gamma if args.gamma is not None else 0.9
-    mdp = build_cvss_mdp(graph, gamma=gamma)
-    mode = TerrainMode(args.mode or "vanilla")
-    restrict = _parse_protocol(args.protocol) if args.protocol else None
-    w = args.w if args.w is not None else -2.0
-    mdp = apply_terrain(mdp, graph, TerrainConfig(mode=mode, strength=w if mode is TerrainMode.REWARD else 0.0, restrict=restrict))
+    cfg = _resolve_config(args)
+    mdp = build_cvss_mdp(graph, gamma=cfg["gamma"])
+    mdp = apply_terrain(mdp, graph, _terrain_config(cfg, args.mode or "vanilla"))
     text = serialize_mdp(mdp)
     if args.out is None:
         sys.stdout.write(text)
@@ -387,15 +356,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     graph = _load_valid_graph(args.graph)
 
     def body(out_dir: Path) -> int:
-        mode = TerrainMode(cfg.mode)
-        terrain_cfg = TerrainConfig(
-            mode=mode,
-            strength=cfg.w if mode is TerrainMode.REWARD else 0.0,
-            restrict=cfg.restrict_protocol(),
-        )
-        base = build_cvss_mdp(graph, gamma=cfg.gamma)
+        terrain_cfg = _terrain_config(cfg, cfg["mode"])
+        base = build_cvss_mdp(graph, gamma=cfg["gamma"])
         mdp = apply_terrain(base, graph, terrain_cfg)
-        train_cfg = cfg.train_config()
+        train_cfg = _train_config(cfg)
         result = train(mdp, train_cfg)
         metrics = evaluate_variant(terrain_cfg.label(), mdp, train_cfg, result=result)
         artifacts = ["curve.csv", "metrics.json", "path.dot"]
@@ -405,7 +369,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             json.dumps(_variant_document(metrics), indent=2, sort_keys=True) + "\n",
         )
         _write_text(out_dir / "path.dot", _path_dot(graph, metrics))
-        if cfg.algorithm == "tabular":
+        if cfg["algorithm"] == "tabular":
             artifacts.append("q.csv")
             _write_text(out_dir / "q.csv", _csv_text(_q_table_rows(mdp, result.q)))
         _write_manifest(out_dir, "train", cfg, args.graph, artifacts)
@@ -423,12 +387,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     graph = _load_valid_graph(args.graph)
 
     def body(out_dir: Path) -> int:
-        report = compare_variants(
-            graph,
-            _terrain_variants(cfg),
-            cfg.train_config(),
-            gamma=cfg.gamma,
-        )
+        train_cfg = _train_config(cfg)
+        variants = [_terrain_config(cfg, mode) for mode in TerrainMode]
+        report = compare_variants(graph, variants, train_cfg, gamma=cfg["gamma"])
         artifacts = ["summary.csv", "metrics.json"]
         _write_text(out_dir / "summary.csv", _csv_text(report.summary_rows()))
         _write_text(
@@ -446,13 +407,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
             _write_text(out_dir / curve_name, _csv_text(_curve_rows(v.curve)))
             _write_text(out_dir / dot_name, _path_dot(graph, v))
             artifacts.extend([curve_name, dot_name])
-        if cfg.protocols:
+        if cfg["protocols"]:
             # Per-protocol restricted curves for both terrain modes.
             for mode in (TerrainMode.REWARD, TerrainMode.STATE):
-                strength = cfg.w if mode is TerrainMode.REWARD else 0.0
-                sweep = protocol_sweep(
-                    graph, mode, strength, cfg.train_config(), gamma=cfg.gamma
-                )
+                sweep = protocol_sweep(graph, mode, cfg["w"], train_cfg, gamma=cfg["gamma"])
                 for metrics in sweep.values():
                     curve_name = f"curve_{metrics.name}.csv"
                     _write_text(out_dir / curve_name, _csv_text(_curve_rows(metrics.curve)))
@@ -487,18 +445,30 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config document or a manifest.json")
-    p.add_argument("--seed", type=int, help="training seed")
+def _add_process_flags(p: argparse.ArgumentParser, mode_default: str | None) -> None:
+    """Flags of the process and its terrain; ``--mode`` where it has a default."""
+
     p.add_argument("--gamma", type=float, help="discount factor in (0, 1]")
     p.add_argument("--w", type=float, help="reward-penalty strength (<= 0)")
-    p.add_argument(
-        "--protocol",
-        help="restrict terrain to one protocol (ftp|smtp|http|ssh)",
-    )
+    p.add_argument("--protocol", help="restrict terrain to one protocol (ftp|smtp|http|ssh)")
+    if mode_default is not None:
+        p.add_argument(
+            "--mode",
+            choices=[m.value for m in TerrainMode],
+            help=f"terrain adjustment (default {mode_default})",
+        )
+
+
+def _add_train_flags(p: argparse.ArgumentParser, mode_default: str | None) -> None:
+    _add_process_flags(p, mode_default)
+    p.add_argument("--config", help="JSON config document or a manifest.json")
+    p.add_argument("--seed", type=int, help="training seed")
     p.add_argument("--episodes", type=int, help="training episodes")
     p.add_argument("--algorithm", choices=ALGORITHMS, help="solver algorithm")
-    p.add_argument("--max-steps", type=int, help="episode step cap")
+    p.add_argument(
+        "--max-steps", dest="max_steps_per_episode", metavar="MAX_STEPS", type=int,
+        help="episode step cap",
+    )
     p.add_argument("--eval-interval", type=int, help="episodes between greedy evals")
     p.add_argument("--learning-rate", type=float, help="update step size")
     p.add_argument(
@@ -534,25 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="compile a graph to a decision process")
     p.add_argument("graph")
     p.add_argument("--out", help="output file (stdout if omitted)")
-    p.add_argument("--gamma", type=float, help="discount factor in (0, 1]")
-    p.add_argument(
-        "--mode",
-        choices=[m.value for m in TerrainMode],
-        help="terrain adjustment to apply (default vanilla)",
-    )
-    p.add_argument("--w", type=float, help="reward-penalty strength (<= 0)")
-    p.add_argument("--protocol", help="restrict terrain to one protocol")
+    _add_process_flags(p, "vanilla")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("train", help="train one variant and export its curve")
     p.add_argument("graph")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument(
-        "--mode",
-        choices=[m.value for m in TerrainMode],
-        help="terrain adjustment (default reward)",
-    )
-    _add_train_flags(p)
+    _add_train_flags(p, RUN_DEFAULTS["mode"])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compare", help="matched-seed comparison of all variants")
@@ -564,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also sweep each protocol restriction per terrain mode",
     )
-    _add_train_flags(p)
+    _add_train_flags(p, None)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("export-dot", help="render a graph to Graphviz DOT")

@@ -215,7 +215,6 @@ def evaluate_variant(
     name: str,
     mdp: Mdp,
     train_cfg: TrainConfig,
-    rollout_max_steps: int | None = None,
     result: TrainResult | None = None,
 ) -> VariantMetrics:
     """Train on one process and report its greedy rollout.
@@ -227,7 +226,7 @@ def evaluate_variant(
 
     if result is None:
         result = train(mdp, train_cfg)
-    max_steps = rollout_max_steps or train_cfg.max_steps_per_episode
+    max_steps = train_cfg.max_steps_per_episode
     trace = rollout_greedy(mdp, result.q, _rollout_rng(train_cfg.seed), max_steps)
     extraction = extract_path(trace)
     hops = trace.hops
@@ -249,7 +248,6 @@ def compare_variants(
     variants: Sequence[TerrainConfig],
     train_cfg: TrainConfig,
     gamma: float = 0.9,
-    rollout_max_steps: int | None = None,
 ) -> MetricsReport:
     """Train every variant from the same seed and compare greedy rollouts.
 
@@ -266,7 +264,7 @@ def compare_variants(
     rows = []
     for label, cfg in zip(labels, variants):
         adjusted = apply_terrain(base, graph, cfg)
-        rows.append(evaluate_variant(label, adjusted, train_cfg, rollout_max_steps))
+        rows.append(evaluate_variant(label, adjusted, train_cfg))
     return MetricsReport(variants=tuple(rows))
 
 

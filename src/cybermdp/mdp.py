@@ -53,7 +53,8 @@ REWARD_FLOOR = 0.01
 
 
 class ConvergenceError(RuntimeError):
-    """Value iteration failed to reach the tolerance within max_iters."""
+    """Value iteration missed its tolerance, or a learner's action values
+    stopped being finite (then ``residual`` is NaN)."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

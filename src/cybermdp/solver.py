@@ -13,7 +13,8 @@ configured seed, so a run is exactly repeatable.
 ``tabular`` keeps one value per action slot (the hot episode loop lives in
 ``_kernels``); ``dqn`` trains the plain-numpy network from
 :mod:`cybermdp.network` with uniform experience replay (a ring buffer, so
-eviction is oldest-first), a hard-synced target copy, and vanilla SGD.
+eviction is oldest-first), a hard-synced target copy, and vanilla SGD, and
+raises :class:`~cybermdp.mdp.ConvergenceError` once its values go non-finite.
 Either way the result is a :class:`TabularQ`: the trained network's values
 are read out once into the same per-slot layout, so greedy evaluation runs
 through the one rollout kernel for both algorithms.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .mdp import Mdp
+from .mdp import ConvergenceError, Mdp
 from .network import QNetwork, sgd_step, td_loss_and_gradients
 
 ALGORITHMS = ("tabular", "dqn")
@@ -36,20 +37,19 @@ ALGORITHMS = ("tabular", "dqn")
 class TrainConfig:
     """Training protocol knobs shared by both solvers.
 
-    ``gamma`` of None means "use the process's own gamma"; setting it
-    overrides the learning target only.  ``learning_rate_decay`` is a
-    per-state-action polynomial decay exponent for the tabular solver
-    (effective alpha = learning_rate / visit_count ** decay; 0 keeps alpha
-    constant).  The epsilon schedule is linear from ``epsilon_start`` down
-    to ``epsilon_end`` over the first ``epsilon_decay_episodes`` episodes
-    (default: the first 80% of training), flat afterwards.
+    Both learners discount by the process's own ``Mdp.gamma``.
+    ``learning_rate_decay`` is a per-state-action polynomial decay exponent
+    for the tabular solver (effective alpha = learning_rate / visit_count **
+    decay; 0 keeps alpha constant).  The epsilon schedule is linear from
+    ``epsilon_start`` down to ``epsilon_end`` over the first
+    ``epsilon_decay_episodes`` episodes (default: the first 80% of
+    training), flat afterwards.
     """
 
     episodes: int
     algorithm: str = "tabular"
     max_steps_per_episode: int = 2500
     eval_interval: int = 4
-    gamma: float | None = None
     learning_rate: float = 0.1
     learning_rate_decay: float = 0.0
     epsilon_start: float = 1.0
@@ -70,8 +70,6 @@ class TrainConfig:
             raise ValueError("max_steps_per_episode must be positive")
         if self.eval_interval < 1:
             raise ValueError("eval_interval must be positive")
-        if self.gamma is not None and not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if self.learning_rate_decay < 0.0:
@@ -104,9 +102,6 @@ class TrainConfig:
             span = max(1, int(round(0.8 * self.episodes)))
         frac = min(1.0, episode / span)
         return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
-
-    def resolve_gamma(self, mdp: Mdp) -> float:
-        return self.gamma if self.gamma is not None else mdp.gamma
 
 
 @dataclass(frozen=True)
@@ -258,7 +253,6 @@ def _greedy_eval_total(
 
 def _train_tabular(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
     _, rng_train, rng_eval = _streams(cfg.seed)
-    gamma = cfg.resolve_gamma(mdp)
     q = np.zeros(mdp.num_action_slots, dtype=np.float64)
     counts = np.zeros(mdp.num_action_slots, dtype=np.float64)
     curve: list[tuple[int, float]] = []
@@ -268,7 +262,7 @@ def _train_tabular(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
             mdp.action_dest,
             mdp.action_success,
             mdp.action_reward,
-            gamma,
+            mdp.gamma,
             mdp.terminal_state,
             q,
             counts,
@@ -298,7 +292,6 @@ def _network_slot_values(mdp: Mdp, net: QNetwork) -> np.ndarray:
 
 def _train_dqn(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
     rng_init, rng_train, rng_eval = _streams(cfg.seed)
-    gamma = cfg.resolve_gamma(mdp)
     action_counts = np.diff(mdp.action_offsets)
     max_actions = int(action_counts.max()) if action_counts.size else 1
     net = QNetwork(
@@ -313,6 +306,14 @@ def _train_dqn(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
     mask = np.arange(max_actions)[None, :] < action_counts[:, None]
     steps_done = 0
     curve: list[tuple[int, float]] = []
+
+    def finite_slot_values(episodes_done: int) -> np.ndarray:
+        values = _network_slot_values(mdp, net)
+        if not np.isfinite(values).all():
+            message = f"DQN diverged: non-finite action values after episode {episodes_done}"
+            raise ConvergenceError(message, residual=float("nan"))
+        return values
+
     for episode in range(cfg.episodes):
         epsilon = cfg.epsilon_at(episode)
         s = mdp.initial_state
@@ -343,7 +344,7 @@ def _train_dqn(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
                     next_states,
                     dones,
                     mask[next_states],
-                    gamma,
+                    mdp.gamma,
                 )
                 sgd_step(net, grads, cfg.learning_rate)
             steps_done += 1
@@ -354,10 +355,10 @@ def _train_dqn(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
                 break
         if (episode + 1) % cfg.eval_interval == 0:
             total = _greedy_eval_total(
-                mdp, _network_slot_values(mdp, net), cfg.max_steps_per_episode, rng_eval
+                mdp, finite_slot_values(episode + 1), cfg.max_steps_per_episode, rng_eval
             )
             curve.append((episode + 1, total))
-    q = _network_slot_values(mdp, net)
+    q = finite_slot_values(cfg.episodes)
     q.setflags(write=False)
     return TrainResult(
         q=TabularQ(action_offsets=mdp.action_offsets, values=q), curve=tuple(curve)

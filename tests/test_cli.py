@@ -175,6 +175,9 @@ class TestBuild:
     def test_positive_w_exit_one(self, graph_file):
         assert main(["build", str(graph_file), "--mode", "reward", "--w", "2"]) == 1
 
+    def test_positive_w_exit_one_in_state_mode(self, graph_file):
+        assert main(["build", str(graph_file), "--mode", "state", "--w", "1"]) == 1
+
     def test_invalid_graph_exit_one(self, tmp_path):
         doc = {
             "version": "1",
@@ -262,6 +265,38 @@ class TestTrain:
         ]) == 0
         assert not (out / "FAILED").exists()
 
+    def test_positive_w_fails_in_state_mode(self, gauntlet_file, tmp_path):
+        out = tmp_path / "run"
+        assert main([
+            "train", str(gauntlet_file), "--out", str(out),
+            "--mode", "state", "--w", "1", *FAST_TRAIN,
+        ]) == 1
+        assert not (out / "manifest.json").exists()
+
+    def test_protocol_is_case_insensitive(self, gauntlet_file, tmp_path):
+        out = tmp_path / "run"
+        assert main([
+            "train", str(gauntlet_file), "--out", str(out),
+            "--protocol", "FTP", *FAST_TRAIN,
+        ]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["resolved_config"]["protocol"] == "ftp"
+        metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+        assert metrics["variant"] == "reward_w-2_ftp"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_dqn_divergence_exit_one(self, gauntlet_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main([
+            "train", str(gauntlet_file), "--out", str(out),
+            "--algorithm", "dqn", "--episodes", "8", "--max-steps", "60",
+            "--seed", "4",
+        ]) == 1
+        assert "diverged" in capsys.readouterr().err
+        marker = (out / "FAILED").read_text(encoding="utf-8")
+        assert marker.startswith("ConvergenceError:")
+        assert not (out / "manifest.json").exists()
+
     def test_state_mode_flag(self, gauntlet_file, tmp_path):
         out = tmp_path / "run"
         assert main([
@@ -334,6 +369,41 @@ class TestCompare:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["resolved_config"]["episodes"] == 20
         assert manifest["resolved_config"]["seed"] == 5
+
+
+    def test_protocol_is_case_insensitive(self, gauntlet_file, tmp_path):
+        out = tmp_path / "cmp"
+        assert self.run_compare(gauntlet_file, out, "--protocol", "FTP") == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["resolved_config"]["protocol"] == "ftp"
+        assert (out / "curve_reward_w-2_ftp.csv").is_file()
+
+    def test_unknown_protocol_exit_one(self, gauntlet_file, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert self.run_compare(gauntlet_file, out, "--protocol", "bogus") == 1
+        err = capsys.readouterr().err
+        assert "unknown protocol 'bogus'; expected one of" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"hidden_layers": 5},
+            {"episodes": "ten"},
+            {"gamma": "x"},
+            {"seed": 1.5},
+            {"episodes": True},
+        ],
+    )
+    def test_mistyped_config_value_exit_one(self, gauntlet_file, tmp_path, capsys, doc):
+        (key,) = doc
+        cfg = _json_file(tmp_path, doc, "cfg.json")
+        out = tmp_path / "cmp"
+        assert main([
+            "compare", str(gauntlet_file), "--out", str(out), "--config", cfg,
+        ]) == 1
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExportDot:

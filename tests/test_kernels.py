@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,13 +224,22 @@ class TestRolloutLoop:
         assert total == 2.0
 
 
+def _child_env(backend: str) -> dict[str, str]:
+    """Environment for a child interpreter that imports this same package,
+    which may be importable here only through pytest's ``pythonpath``."""
+
+    src = str(Path(_kernels.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, CYBERMDP_BACKEND=backend, PYTHONPATH=path)
+
+
 class TestBackendSelection:
     def test_backend_constant_consistent(self):
         assert _kernels.BACKEND in ("numba", "numpy")
         assert _kernels.HAS_NUMBA == (_kernels.BACKEND == "numba")
 
     def test_invalid_backend_env_rejected(self):
-        env = dict(os.environ, CYBERMDP_BACKEND="cuda")
+        env = _child_env("cuda")
         proc = subprocess.run(
             [sys.executable, "-c", "import cybermdp"],
             capture_output=True,
@@ -240,7 +250,7 @@ class TestBackendSelection:
         assert "CYBERMDP_BACKEND" in proc.stderr
 
     def test_numpy_env_forces_fallback(self):
-        env = dict(os.environ, CYBERMDP_BACKEND="numpy")
+        env = _child_env("numpy")
         proc = subprocess.run(
             [
                 sys.executable,

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import DESK_PARAMS, make_mdp
 from cybermdp.graph import Protocol
-from cybermdp.mdp import build_cvss_mdp, value_iteration
+from cybermdp.mdp import ConvergenceError, build_cvss_mdp, value_iteration
 from cybermdp.netgen import ENTERPRISE_SCALE, TopologyParams, generate, plant_gauntlet
 from cybermdp.network import QNetwork
 from cybermdp.solver import (
@@ -39,8 +39,6 @@ class TestTrainConfig:
             {"algorithm": "sarsa"},
             {"max_steps_per_episode": 0},
             {"eval_interval": 0},
-            {"gamma": 0.0},
-            {"gamma": 1.5},
             {"learning_rate": 0.0},
             {"learning_rate": -0.1},
             {"learning_rate_decay": -0.5},
@@ -76,11 +74,6 @@ class TestTrainConfig:
         cfg = config_with(episodes=100, epsilon_start=1.0, epsilon_end=0.0)
         assert cfg.epsilon_at(80) == pytest.approx(0.0)
         assert cfg.epsilon_at(40) == pytest.approx(0.5)
-
-    def test_gamma_resolution(self):
-        mdp = make_mdp(states=("a", "t"), actions=[[(1, 0.9, 1.0)], []], gamma=0.9)
-        assert config_with(gamma=None).resolve_gamma(mdp) == 0.9
-        assert config_with(gamma=0.5).resolve_gamma(mdp) == 0.5
 
 
 class TestQUpdate:
@@ -283,10 +276,24 @@ class TestTraining:
         result = train(mdp, cfg)
         assert result.curve[-1][1] == 0.0
 
-    def test_gamma_override_changes_learning(self, training_mdp):
-        low = train(training_mdp, config_with(episodes=60, gamma=0.2))
-        high = train(training_mdp, config_with(episodes=60, gamma=0.99))
+    def test_process_gamma_changes_learning(self):
+        # The learners take the discount from the process alone.
+        g = generate(TopologyParams(2, 5, 0.2, 2, 0.5, seed=5))
+        low = train(build_cvss_mdp(g, gamma=0.2), config_with(episodes=60))
+        high = train(build_cvss_mdp(g, gamma=0.99), config_with(episodes=60))
         assert not np.array_equal(low.q.values, high.q.values)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_dqn_divergence_raises(self):
+        # At learning rate 0.2 this network overflows within 8 episodes;
+        # its values must not come back as a normal-looking result.
+        mdp = build_cvss_mdp(plant_gauntlet(DESK_PARAMS, {Protocol.FTP}))
+        cfg = config_with(
+            episodes=8, algorithm="dqn", max_steps_per_episode=60,
+            learning_rate=0.2, seed=4,
+        )
+        with pytest.raises(ConvergenceError, match="after episode 8"):
+            train(mdp, cfg)
 
     def test_learned_values_are_frozen(self, training_mdp):
         result = train(training_mdp, config_with(episodes=8))
