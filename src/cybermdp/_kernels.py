@@ -129,7 +129,6 @@ def _greedy_rollout_loop(
     max_steps,
     gen,
     out_state,
-    out_slot,
     out_reward,
     out_next,
 ):
@@ -163,7 +162,6 @@ def _greedy_rollout_loop(
             s2 = s
             rew = 0.0
         out_state[steps] = s
-        out_slot[steps] = slot
         out_reward[steps] = rew
         out_next[steps] = s2
         total += rew

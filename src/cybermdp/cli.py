@@ -88,6 +88,10 @@ RUN_DEFAULTS: dict[str, Any] = {
     "learning_rate_decay": 0.6,
 }
 
+# learning_rate when a dqn run sets none: the tabular default above makes
+# the network diverge on small graphs.
+DQN_LEARNING_RATE = 0.01
+
 # Type of the configuration keys whose default is null.
 _NULLABLE_TYPES: dict[str, type] = {"protocol": str, "epsilon_decay_episodes": int}
 
@@ -193,6 +197,8 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
     for key, value in doc.items():
         _check_type(key, value, cfg[key])
     cfg.update(doc)
+    if cfg["algorithm"] == "dqn" and "learning_rate" not in doc:
+        cfg["learning_rate"] = DQN_LEARNING_RATE
     if cfg["protocol"] is not None:
         cfg["protocol"] = _parse_protocol(cfg["protocol"]).value
     return cfg

@@ -128,7 +128,6 @@ def rollout_greedy(
         max_steps,
         rng,
         out_state,
-        np.empty(max_steps, dtype=np.int64),  # chosen slots, unused here
         out_reward,
         out_next,
     )

@@ -2,24 +2,14 @@
 
 One-hot state in, one linear output per action slot out, ReLU hidden
 layers, mean-squared one-step TD loss against a frozen target copy, vanilla
-SGD.  Gradients are hand-derived and verified against central finite
-differences in the tests.
+SGD.  A one-hot input times the first weight matrix is that matrix's row,
+so the input is applied as a row lookup and never built.  Gradients are
+hand-derived and verified against central finite differences in the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def encode_states(states: np.ndarray, num_states: int) -> np.ndarray:
-    """One-hot batch matrix, one row per state index."""
-
-    states = np.asarray(states, dtype=np.int64)
-    if states.size and (states.min() < 0 or states.max() >= num_states):
-        raise IndexError("state index outside the state set")
-    x = np.zeros((states.shape[0], num_states), dtype=np.float64)
-    x[np.arange(states.shape[0]), states] = 1.0
-    return x
 
 
 class QNetwork:
@@ -51,52 +41,40 @@ class QNetwork:
 
     # -- inference ----------------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Action values for a (batch, num_states) input."""
+    def forward(self, states, layer_inputs: list | None = None) -> np.ndarray:
+        """Action values of one state index (a row) or an index array (one
+        row per index).
 
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        When ``layer_inputs`` is a list, the input of every layer after the
+        first is appended to it, for backprop.
+        """
+
+        states = np.asarray(states, dtype=np.int64)
+        # Checked here because fancy indexing would wrap a negative index.
+        if states.size and not 0 <= states.min() <= states.max() < self.num_states:
+            raise IndexError("state index outside the state set")
+        # h is a fresh pre-activation array, so the ReLUs may work in place.
+        h = self.weights[0][states] + self.biases[0]
+        for w, b in zip(self.weights[1:], self.biases[1:]):
+            np.maximum(h, 0.0, out=h)
+            if layer_inputs is not None:
+                layer_inputs.append(h)
             h = h @ w + b
-            if i != last:
-                np.maximum(h, 0.0, out=h)
         return h
 
-    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Forward pass keeping layer inputs for backprop."""
-
-        cache = [x]
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i != last:
-                h = np.maximum(h, 0.0)
-            cache.append(h)
-        return h, cache
-
     def q_row(self, state: int) -> np.ndarray:
-        """Action values of one state; first layer reduces to a row pick."""
+        """Action values of one state."""
 
-        return self._after_first_layer(self.weights[0][state] + self.biases[0])
+        return self.forward(state)
 
     def q_table(self) -> np.ndarray:
         """Action values of every state, one row per state index.
 
-        The one-hot batch of all states is the identity, so the first layer
-        reduces to its whole weight matrix.  Rows can differ from
-        :meth:`q_row` in the last bits, because a matrix product sums in a
-        different order than a vector product.
+        Rows can differ from :meth:`q_row` in the last bits, because a
+        matrix product sums in a different order than a vector product.
         """
 
-        return self._after_first_layer(self.weights[0] + self.biases[0])
-
-    def _after_first_layer(self, h: np.ndarray) -> np.ndarray:
-        # h is a fresh pre-activation array, so the ReLUs may work in place.
-        for w, b in zip(self.weights[1:], self.biases[1:]):
-            np.maximum(h, 0.0, out=h)
-            h = h @ w + b
-        return h
+        return self.forward(np.arange(self.num_states))
 
     # -- parameter handling ---------------------------------------------------
 
@@ -154,12 +132,11 @@ def td_loss_and_gradients(
     if batch == 0:
         raise ValueError("empty batch")
 
-    x = encode_states(states, net.num_states)
-    q_all, cache = net.forward_cached(x)
+    inputs: list[np.ndarray] = []
+    q_all = net.forward(states, inputs)
     q_sel = q_all[np.arange(batch), actions]
 
-    x_next = encode_states(next_states, net.num_states)
-    q_next = target_net.forward(x_next)
+    q_next = target_net.forward(next_states)
     q_next = np.where(next_action_mask, q_next, -np.inf)
     max_next = np.max(q_next, axis=1)
     max_next = np.where(np.isfinite(max_next), max_next, 0.0)
@@ -169,23 +146,18 @@ def td_loss_and_gradients(
     loss = float(np.mean(diff * diff))
 
     # d loss / d q_all: nonzero only at the selected action outputs.
-    d_out = np.zeros_like(q_all)
-    d_out[np.arange(batch), actions] = 2.0 * diff / batch
-
-    grads_w: list[np.ndarray] = [np.empty(0)] * len(net.weights)
-    grads_b: list[np.ndarray] = [np.empty(0)] * len(net.biases)
-    delta = d_out
-    for i in range(len(net.weights) - 1, -1, -1):
-        grads_w[i] = cache[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ net.weights[i].T) * (cache[i] > 0.0)
+    delta = np.zeros_like(q_all)
+    delta[np.arange(batch), actions] = 2.0 * diff / batch
 
     grads: list[np.ndarray] = []
-    for gw, gb in zip(grads_w, grads_b):
-        grads.append(gw)
-        grads.append(gb)
-    return loss, grads
+    for i in range(len(net.weights) - 1, 0, -1):
+        grads[:0] = [inputs[i - 1].T @ delta, delta.sum(axis=0)]
+        delta = (delta @ net.weights[i].T) * (inputs[i - 1] > 0.0)
+    # The first layer saw one-hot rows: each sample's delta lands on the
+    # weight row of its state.
+    grad_w0 = np.zeros_like(net.weights[0])
+    np.add.at(grad_w0, states, delta)
+    return loss, [grad_w0, delta.sum(axis=0), *grads]
 
 
 def sgd_step(net: QNetwork, grads: list[np.ndarray], learning_rate: float) -> None:

@@ -230,7 +230,6 @@ def _greedy_eval_total(
     mdp: Mdp, q_values: np.ndarray, max_steps: int, rng: np.random.Generator
 ) -> float:
     out_state = np.empty(max_steps, dtype=np.int64)
-    out_slot = np.empty(max_steps, dtype=np.int64)
     out_reward = np.empty(max_steps, dtype=np.float64)
     out_next = np.empty(max_steps, dtype=np.int64)
     _, total, _ = _kernels.greedy_rollout_kernel(
@@ -244,7 +243,6 @@ def _greedy_eval_total(
         max_steps,
         rng,
         out_state,
-        out_slot,
         out_reward,
         out_next,
     )

@@ -5,8 +5,10 @@ reachability oracle is a dense matrix closure instead of BFS, the policy
 oracle solves linear systems and enumerates policies instead of iterating
 Bellman backups, the sweep oracle is a scalar loop over states and slots
 instead of the vectorized backup, depths come from a literally recursive
-DFS, and the gradient oracle is central finite differences.  Agreement between these
-and the production code is evidence, not circularity.
+DFS, the network oracle multiplies dense one-hot inputs instead of looking
+up weight rows, and the gradient oracle is central finite differences.
+Agreement between these and the production code is evidence, not
+circularity.
 """
 
 from __future__ import annotations
@@ -162,6 +164,19 @@ def enumerate_optimal_values(mdp: Mdp) -> np.ndarray:
         values = policy_values(mdp, np.asarray(assignment))
         best = np.maximum(best, values)
     return best
+
+
+def one_hot_forward(net: QNetwork, states) -> np.ndarray:
+    """Action values from a dense one-hot input: a vector for one state
+    index, a matrix with one row per index for an index array."""
+
+    h = np.eye(net.num_states)[states]
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w + b
+        if i != last:
+            h = np.maximum(h, 0.0)
+    return h
 
 
 def finite_difference_grads(

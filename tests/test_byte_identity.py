@@ -1,8 +1,9 @@
-"""Pinned artifact digests of small ``cybermdp`` runs on the FTP gauntlet.
+"""Pinned artifact digests of small ``cybermdp`` runs.
 
-The runs cover every artifact ``compare`` writes, the ``--protocols`` sweep
-curves included, every file of a tabular and of a DQN ``train``, and the
-documents ``build`` prints in reward and state mode.  A refactor that
+The runs cover every artifact ``compare`` writes on the FTP gauntlet, the
+``--protocols`` sweep curves included, every file of a tabular and of a DQN
+``train`` there, every file of a DQN ``train`` on the ``desk`` preset, and
+the documents ``build`` prints in reward and state mode.  A refactor that
 claims to leave outputs unchanged must keep these digests; a change that
 alters results on purpose must update them and say why.  The runs happen
 inside ``tmp_path`` with relative paths, because a manifest records the
@@ -87,6 +88,15 @@ DQN_GOLDEN = {
     "path.dot": "0e461ebdae4f4381075138009bf5e2f5bde4ce6c19720f21ad69ff7010e77768",
 }
 
+# The desk preset has many more states than the gauntlet, so its batches
+# spread over many first-layer rows.
+DESK_DQN_GOLDEN = {
+    "curve.csv": "29b855d8233a4752a43dc3febab359f091577b2a0c69ba05e901b31479847053",
+    "manifest.json": "e1aaf4fed5f404548015f49e37215230952c852309c8bfe44da5ab4b9649348c",
+    "metrics.json": "ac1f5c030b48eb50d38d5ee6779c2197f493c8b825da872e832a3dac1a43b6e0",
+    "path.dot": "453f2078b5cb7e81bb4ef16d238cffac73e4ab88672671340e5b0b7ac55a867c",
+}
+
 BUILD_GOLDEN = {
     ("--mode", "reward", "--w", "-3"): (
         "8a0c3c45ef19b534def26c97769d8945329da5a1b0b2f1e1fc20de3cb2954bd8"
@@ -142,6 +152,17 @@ def test_dqn_train_artifacts_are_byte_identical(gauntlet, tmp_path):
         "--seed", "4",
     ]) == 0
     assert _digests(tmp_path / "run") == DQN_GOLDEN
+
+
+def test_desk_dqn_train_artifacts_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--preset", "desk", "--out", "desk.json"]) == 0
+    assert main([
+        "train", "desk.json", "--out", "run", "--algorithm", "dqn",
+        "--learning-rate", "0.01", "--episodes", "12", "--max-steps", "150",
+        "--seed", "2",
+    ]) == 0
+    assert _digests(tmp_path / "run") == DESK_DQN_GOLDEN
 
 
 @pytest.mark.parametrize("flags", sorted(BUILD_GOLDEN))

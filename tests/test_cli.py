@@ -289,13 +289,23 @@ class TestTrain:
         out = tmp_path / "run"
         assert main([
             "train", str(gauntlet_file), "--out", str(out),
-            "--algorithm", "dqn", "--episodes", "8", "--max-steps", "60",
-            "--seed", "4",
+            "--algorithm", "dqn", "--learning-rate", "0.2", "--episodes", "8",
+            "--max-steps", "60", "--seed", "4",
         ]) == 1
         assert "diverged" in capsys.readouterr().err
         marker = (out / "FAILED").read_text(encoding="utf-8")
         assert marker.startswith("ConvergenceError:")
         assert not (out / "manifest.json").exists()
+
+    def test_dqn_default_learning_rate_stays_finite(self, gauntlet_file, tmp_path):
+        out = tmp_path / "run"
+        assert main([
+            "train", str(gauntlet_file), "--out", str(out),
+            "--algorithm", "dqn", "--episodes", "8", "--max-steps", "60",
+            "--seed", "4",
+        ]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["resolved_config"]["learning_rate"] == 0.01
 
     def test_state_mode_flag(self, gauntlet_file, tmp_path):
         out = tmp_path / "run"

@@ -98,10 +98,10 @@ class TestNumbaEquivalence:
         mdp = arrays
         q = np.arange(mdp.num_action_slots, dtype=np.float64) % 7
         outs_c = tuple(
-            np.empty(200, dtype=d) for d in (np.int64, np.int64, np.float64, np.int64)
+            np.empty(200, dtype=d) for d in (np.int64, np.float64, np.int64)
         )
         outs_p = tuple(
-            np.empty(200, dtype=d) for d in (np.int64, np.int64, np.float64, np.int64)
+            np.empty(200, dtype=d) for d in (np.int64, np.float64, np.int64)
         )
         res_c = _kernels.greedy_rollout_kernel(
             mdp.action_offsets, mdp.action_dest, mdp.action_success,
@@ -191,13 +191,14 @@ class TestRolloutLoop:
         r = np.array([0.0, 100.0])
         q = np.zeros(2)  # tie: slot 0 wins, loops forever
         outs = tuple(
-            np.empty(10, dtype=d) for d in (np.int64, np.int64, np.float64, np.int64)
+            np.empty(10, dtype=d) for d in (np.int64, np.float64, np.int64)
         )
         steps, total, reached = _greedy_rollout_loop(
             offsets, dest, p, r, q, 0, 1, 10, fresh_gen(0), *outs
         )
         assert steps == 10 and reached is False
-        assert np.all(outs[1][:steps] == 0)
+        # Slot 0 loops back to state 0; slot 1 would have reached state 1.
+        assert np.all(outs[2][:steps] == 0)
 
     def test_draw_protocol_is_one_uniform_per_step(self):
         offsets = np.array([0, 1, 1], dtype=np.int64)
@@ -205,7 +206,7 @@ class TestRolloutLoop:
         p = np.array([0.5])
         r = np.array([2.0])
         outs = tuple(
-            np.empty(50, dtype=d) for d in (np.int64, np.int64, np.float64, np.int64)
+            np.empty(50, dtype=d) for d in (np.int64, np.float64, np.int64)
         )
         gen = fresh_gen(3)
         expected_draws = [fresh_gen(3).random() for _ in range(50)]

@@ -10,13 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cybermdp.network import (
-    QNetwork,
-    encode_states,
-    sgd_step,
-    td_loss_and_gradients,
-)
-from oracles import finite_difference_grads, relative_gradient_error
+from cybermdp.network import QNetwork, sgd_step, td_loss_and_gradients
+from oracles import finite_difference_grads, one_hot_forward, relative_gradient_error
 
 
 def random_batch(rng: np.random.Generator, net: QNetwork, batch: int):
@@ -33,19 +28,29 @@ def random_batch(rng: np.random.Generator, net: QNetwork, batch: int):
     return states, actions, rewards, next_states, done, mask
 
 
+HIDDEN_SHAPES = ((), (7,), (16, 8))
+
+
 class TestEncoding:
+    """The one-hot input, applied as a lookup of first-layer rows."""
+
     def test_one_hot_bounds(self):
+        net = QNetwork(3, 2)
+        for bad in (3, -1, np.array([0, 3]), np.array([-1])):
+            with pytest.raises(IndexError):
+                net.forward(bad)
         with pytest.raises(IndexError):
-            encode_states(np.array([0, 3]), 3)
-        with pytest.raises(IndexError):
-            encode_states(np.array([-1]), 3)
+            net.q_row(-1)
 
     def test_batch_encoding(self):
-        x = encode_states(np.array([1, 0, 1]), 2)
-        np.testing.assert_array_equal(x, [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        assert encode_states(np.array([], dtype=np.int64), 2).shape == (0, 2)
-        with pytest.raises(IndexError):
-            encode_states(np.array([2]), 2)
+        rng = np.random.Generator(np.random.PCG64(10))
+        for hidden in HIDDEN_SHAPES:
+            net = QNetwork(6, 4, hidden_sizes=hidden, rng=rng)
+            batch = np.array([1, 0, 1, 5, 5, 2])
+            np.testing.assert_array_equal(
+                net.forward(batch), one_hot_forward(net, batch)
+            )
+            assert net.forward(np.array([], dtype=np.int64)).shape == (0, 4)
 
 
 class TestQNetwork:
@@ -53,8 +58,8 @@ class TestQNetwork:
         net = QNetwork(5, 3, hidden_sizes=(8, 4))
         assert [w.shape for w in net.weights] == [(5, 8), (8, 4), (4, 3)]
         assert [b.shape for b in net.biases] == [(8,), (4,), (3,)]
-        out = net.forward(encode_states(np.array([0, 4]), 5))
-        assert out.shape == (2, 3)
+        assert net.forward(np.array([0, 4])).shape == (2, 3)
+        assert net.forward(4).shape == (3,)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -66,24 +71,20 @@ class TestQNetwork:
 
     def test_q_row_matches_forward(self):
         rng = np.random.Generator(np.random.PCG64(11))
-        for hidden in ((), (7,), (16, 8)):
+        for hidden in HIDDEN_SHAPES:
             net = QNetwork(6, 4, hidden_sizes=hidden, rng=rng)
             for s in range(6):
-                np.testing.assert_allclose(
-                    net.q_row(s),
-                    net.forward(encode_states(np.array([s]), 6))[0],
-                    atol=1e-12,
-                )
+                expected = one_hot_forward(net, s)
+                np.testing.assert_array_equal(net.q_row(s), expected)
+                np.testing.assert_array_equal(net.forward(np.int64(s)), expected)
 
     def test_q_table_is_the_batch_of_all_states(self):
         rng = np.random.Generator(np.random.PCG64(12))
-        for hidden in ((), (7,), (16, 8)):
+        for hidden in HIDDEN_SHAPES:
             net = QNetwork(6, 4, hidden_sizes=hidden, rng=rng)
             table = net.q_table()
             assert table.shape == (6, 4)
-            np.testing.assert_allclose(
-                table, net.forward(encode_states(np.arange(6), 6)), atol=1e-12
-            )
+            np.testing.assert_array_equal(table, one_hot_forward(net, np.arange(6)))
 
     def test_deterministic_init_per_rng_seed(self):
         a = QNetwork(5, 3, rng=np.random.Generator(np.random.PCG64(3)))
