@@ -4,10 +4,12 @@ adjustments and reinforcement-learning solvers on top.
 The pipeline: parse or generate an annotated attack graph (:mod:`.graph`,
 :mod:`.netgen`), compile it to a finite decision process whose rewards and
 success probabilities come from the vulnerability scores (:mod:`.mdp`),
-optionally fold firewalls into the rewards or the transition dynamics
-(:mod:`.terrain`), then solve by value iteration, tabular Q-learning, or a
-small Q-network (:mod:`.solver`, :mod:`.network`) and compare the learned
-routes (:mod:`.evaluate`).
+optionally fold firewalls into the rewards or the transition dynamics with
+the one transform ``apply_terrain`` (:mod:`.terrain`), then solve by value
+iteration, tabular Q-learning, or a small Q-network (:mod:`.solver`,
+:mod:`.network`) and compare the learned routes of any set of terrain
+variants, protocol-restricted ones included, in one ``compare_variants``
+call (:mod:`.evaluate`).
 """
 
 from .evaluate import (
@@ -19,7 +21,6 @@ from .evaluate import (
     evaluate_variant,
     extract_path,
     policy_success_path,
-    protocol_sweep,
     rollout_greedy,
 )
 from .graph import (
@@ -61,9 +62,7 @@ from .solver import (
     TabularQ,
     TrainConfig,
     TrainResult,
-    Transition,
     epsilon_greedy,
-    q_update,
     train,
 )
 from .terrain import (
@@ -73,8 +72,6 @@ from .terrain import (
     TerrainConfig,
     TerrainError,
     TerrainMode,
-    apply_reward_terrain,
-    apply_state_terrain,
     apply_terrain,
     firewall_importance_factor,
     firewall_presence_factor,
@@ -112,14 +109,11 @@ __all__ = [
     "TopologyParams",
     "TrainConfig",
     "TrainResult",
-    "Transition",
     "ValueResult",
     "VariantMetrics",
     "Vertex",
     "VertexKind",
     "action_values",
-    "apply_reward_terrain",
-    "apply_state_terrain",
     "apply_terrain",
     "base_reward",
     "build_cvss_mdp",
@@ -138,8 +132,6 @@ __all__ = [
     "parse_attack_graph",
     "plant_gauntlet",
     "policy_success_path",
-    "protocol_sweep",
-    "q_update",
     "reachable_set",
     "rollout_greedy",
     "serialize_attack_graph",

@@ -34,14 +34,11 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-from .evaluate import (
-    VariantMetrics,
-    compare_variants,
-    evaluate_variant,
-    protocol_sweep,
-)
+from .evaluate import MetricsReport, VariantMetrics, compare_variants, evaluate_variant
 from .graph import (
+    PROTOCOL_ORDER,
     AttackGraph,
+    Complexity,
     GraphFormatError,
     Protocol,
     export_dot,
@@ -300,16 +297,15 @@ def _topology_from_document(doc: Any) -> TopologyParams:
     if not isinstance(doc, dict):
         raise GraphFormatError("topology config: expected an object")
     kwargs = dict(doc)
-    if "protocol_weights" in kwargs:
-        kwargs["protocol_weights"] = {
-            _parse_protocol(k): float(v) for k, v in kwargs["protocol_weights"].items()
-        }
-    if "complexity_weights" in kwargs:
-        from .graph import Complexity
-
-        kwargs["complexity_weights"] = {
-            Complexity(k): float(v) for k, v in kwargs["complexity_weights"].items()
-        }
+    defaults = vars(DESK_SCALE)
+    for key, value in kwargs.items():
+        if key in defaults:  # an unknown key fails in TopologyParams below
+            _check_type(key, value, defaults[key])
+    for key, parse in (("protocol_weights", _parse_protocol), ("complexity_weights", Complexity)):
+        if key in kwargs:
+            for weight in kwargs[key].values():
+                _check_type(key, weight, 0.0)
+            kwargs[key] = {parse(k): float(v) for k, v in kwargs[key].items()}
     try:
         return TopologyParams(**kwargs)
     except TypeError as exc:
@@ -395,13 +391,25 @@ def cmd_compare(args: argparse.Namespace) -> int:
     def body(out_dir: Path) -> int:
         train_cfg = _train_config(cfg)
         variants = [_terrain_config(cfg, mode) for mode in TerrainMode]
+        if cfg["protocols"]:
+            # Per-protocol restricted curves for both terrain modes.
+            variants += [
+                dataclasses.replace(v, restrict=p)
+                for v in variants
+                if v.mode is not TerrainMode.VANILLA
+                for p in PROTOCOL_ORDER
+            ]
+        # Under --protocol, two headline variants are also sweep entries;
+        # dropping the repeats keeps the headline three first.
+        variants = list(dict.fromkeys(variants))
         report = compare_variants(graph, variants, train_cfg, gamma=cfg["gamma"])
+        shown = MetricsReport(report.variants[: len(TerrainMode)])
         artifacts = ["summary.csv", "metrics.json"]
-        _write_text(out_dir / "summary.csv", _csv_text(report.summary_rows()))
+        _write_text(out_dir / "summary.csv", _csv_text(shown.summary_rows()))
         _write_text(
             out_dir / "metrics.json",
             json.dumps(
-                [_variant_document(v) for v in report.variants],
+                [_variant_document(v) for v in shown.variants],
                 indent=2,
                 sort_keys=True,
             )
@@ -409,20 +417,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         for v in report.variants:
             curve_name = f"curve_{v.name}.csv"
-            dot_name = f"path_{v.name}.dot"
             _write_text(out_dir / curve_name, _csv_text(_curve_rows(v.curve)))
+            artifacts.append(curve_name)
+        for v in shown.variants:
+            dot_name = f"path_{v.name}.dot"
             _write_text(out_dir / dot_name, _path_dot(graph, v))
-            artifacts.extend([curve_name, dot_name])
-        if cfg["protocols"]:
-            # Per-protocol restricted curves for both terrain modes.
-            for mode in (TerrainMode.REWARD, TerrainMode.STATE):
-                sweep = protocol_sweep(graph, mode, cfg["w"], train_cfg, gamma=cfg["gamma"])
-                for metrics in sweep.values():
-                    curve_name = f"curve_{metrics.name}.csv"
-                    _write_text(out_dir / curve_name, _csv_text(_curve_rows(metrics.curve)))
-                    artifacts.append(curve_name)
+            artifacts.append(dot_name)
         _write_manifest(out_dir, "compare", cfg, args.graph, artifacts)
-        for v in report.variants:
+        for v in shown.variants:
             print(
                 f"{v.name}: hops={v.hops} distinct={v.distinct_vertices} "
                 f"total_reward={v.total_reward:.3f} reached={str(v.reached_terminal).lower()}"

@@ -2,24 +2,24 @@
 
 The reporting layer: play trained policies greedily, turn the step traces
 into attack paths suitable for DOT highlighting, and run the matched-seed
-comparisons (vanilla vs terrain-adjusted, protocol sweeps) that show what a
-terrain adjustment actually changes.  Hops count every action taken,
-including failed attempts that stayed put; the distinct-vertex count is
-reported separately so path length and retry count cannot be conflated.
+comparisons (vanilla, terrain-adjusted and protocol-restricted variants,
+all in one call) that show what a terrain adjustment actually changes.
+Hops count every action taken, including failed attempts that stayed put;
+the distinct-vertex count is reported separately so path length and retry
+count cannot be conflated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _kernels
-from .graph import PROTOCOL_ORDER, AttackGraph, Protocol
+from .graph import AttackGraph
 from .mdp import Mdp, build_cvss_mdp
-from .solver import TabularQ, TrainConfig, TrainResult, train
-from .terrain import TerrainConfig, TerrainMode, apply_terrain
+from .solver import TabularQ, TrainConfig, TrainResult, greedy_rollout, train
+from .terrain import TerrainConfig, apply_terrain
 
 # Fixed tags mixed into the seed so rollout streams are distinct from the
 # training streams but still fully determined by one configured seed.
@@ -106,37 +106,16 @@ def rollout_greedy(
     rng: np.random.Generator,
     max_steps: int = 2500,
 ) -> EpisodeTrace:
-    """Play one episode greedily under ``q`` (ties to the lowest index).
+    """Play one episode greedily under ``q`` (see
+    :func:`cybermdp.solver.greedy_rollout`) and name its states."""
 
-    One uniform draw per step decides success; the episode ends at the
-    terminal state, at ``max_steps``, or in a state with no actions.
-    """
-
-    if max_steps < 1:
-        raise ValueError("max_steps must be positive")
-    out_state = np.empty(max_steps, dtype=np.int64)
-    out_next = np.empty(max_steps, dtype=np.int64)
-    out_reward = np.empty(max_steps, dtype=np.float64)
-    steps, total, reached = _kernels.greedy_rollout_kernel(
-        mdp.action_offsets,
-        mdp.action_dest,
-        mdp.action_success,
-        mdp.action_reward,
-        q.values,
-        mdp.initial_state,
-        mdp.terminal_state,
-        max_steps,
-        rng,
-        out_state,
-        out_reward,
-        out_next,
-    )
+    states, next_states, rewards, total, reached = greedy_rollout(mdp, q.values, max_steps, rng)
     return EpisodeTrace(
-        states=tuple(mdp.states[s] for s in out_state[:steps].tolist()),
-        next_states=tuple(mdp.states[s] for s in out_next[:steps].tolist()),
-        rewards=tuple(out_reward[:steps].tolist()),
-        total_reward=float(total),
-        reached_terminal=bool(reached),
+        states=tuple(mdp.states[s] for s in states.tolist()),
+        next_states=tuple(mdp.states[s] for s in next_states.tolist()),
+        rewards=tuple(rewards.tolist()),
+        total_reward=total,
+        reached_terminal=reached,
     )
 
 
@@ -252,8 +231,9 @@ def compare_variants(
 
     All variants share the training seed, the evaluation streams, and the
     rollout stream, so differences in the report come from the terrain
-    adjustment alone.  Variant names come from ``TerrainConfig.label()``
-    and must be unique within one comparison.
+    adjustment alone.  The process is compiled once and every variant is
+    a terrain transform of it.  Variant names come from
+    ``TerrainConfig.label()`` and must be unique within one comparison.
     """
 
     labels = [cfg.label() for cfg in variants]
@@ -265,21 +245,3 @@ def compare_variants(
         adjusted = apply_terrain(base, graph, cfg)
         rows.append(evaluate_variant(label, adjusted, train_cfg))
     return MetricsReport(variants=tuple(rows))
-
-
-def protocol_sweep(
-    graph: AttackGraph,
-    mode: TerrainMode,
-    strength: float,
-    train_cfg: TrainConfig,
-    gamma: float = 0.9,
-    protocols: Sequence[Protocol] | None = None,
-) -> Mapping[Protocol, VariantMetrics]:
-    """One restricted terrain variant per protocol, matched seeds throughout."""
-
-    if not isinstance(mode, TerrainMode) or mode is TerrainMode.VANILLA:
-        raise ValueError("protocol_sweep needs a terrain mode (reward or state)")
-    chosen = tuple(protocols) if protocols is not None else PROTOCOL_ORDER
-    variants = [TerrainConfig(mode=mode, strength=strength, restrict=p) for p in chosen]
-    report = compare_variants(graph, variants, train_cfg, gamma=gamma)
-    return dict(zip(chosen, report.variants))

@@ -215,34 +215,6 @@ class Mdp:
     def action_target(self, state: int, action: int) -> int:
         return int(self.action_dest[self.action_slot(state, action)])
 
-    def success_probability(self, state: int, action: int) -> float:
-        return float(self.action_success[self.action_slot(state, action)])
-
-    def transitions(self, state: int, action: int) -> tuple[tuple[int, float], ...]:
-        """Successor distribution of (state, action): destination with the
-        success probability, plus the stay-put remainder when nonzero."""
-
-        slot = self.action_slot(state, action)
-        p = float(self.action_success[slot])
-        entries = [(int(self.action_dest[slot]), p)]
-        remainder = 1.0 - p
-        if remainder != 0.0:
-            entries.append((state, remainder))
-        return tuple(entries)
-
-    def reward(self, state: int, action: int, next_state: int) -> float:
-        """Reward of landing in next_state after (state, action): the arrival
-        reward on success, 0 for the failure stay-put."""
-
-        slot = self.action_slot(state, action)
-        if next_state == int(self.action_dest[slot]):
-            return float(self.action_reward[slot])
-        if next_state == state:
-            return 0.0
-        raise ValueError(
-            f"state {next_state} is not a successor of ({state}, {action})"
-        )
-
     # -- serialization --------------------------------------------------------
 
     def to_document(self) -> dict[str, Any]:

@@ -104,18 +104,6 @@ class TrainConfig:
         return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One environment step; done holds exactly when the terminal state was
-    entered (a failed attempt that stays put is never done)."""
-
-    state: int
-    action: int
-    reward: float
-    next_state: int
-    done: bool
-
-
 def epsilon_greedy(q_row: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
     """Pick an action index from one state's action values.
 
@@ -132,22 +120,6 @@ def epsilon_greedy(q_row: np.ndarray, epsilon: float, rng: np.random.Generator) 
     if rng.random() < epsilon:
         return int(rng.integers(0, q_row.size))
     return int(np.argmax(q_row))
-
-
-def q_update(
-    q_value: float,
-    reward: float,
-    max_next: float,
-    alpha: float,
-    gamma: float,
-    done: bool,
-) -> float:
-    """One tabular backup: q + alpha * (r + gamma * max_next * (1 - done) - q)."""
-
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    target = reward + gamma * max_next * (0.0 if done else 1.0)
-    return q_value + alpha * (target - q_value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,13 +153,16 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, t: Transition) -> None:
+    def push(self, state: int, action: int, reward: float, next_state: int, done: bool) -> None:
+        """Store one step; ``done`` holds exactly when the terminal state was
+        entered (a failed attempt that stays put is never done)."""
+
         i = self._cursor
-        self._states[i] = t.state
-        self._actions[i] = t.action
-        self._rewards[i] = t.reward
-        self._next_states[i] = t.next_state
-        self._done[i] = t.done
+        self._states[i] = state
+        self._actions[i] = action
+        self._rewards[i] = reward
+        self._next_states[i] = next_state
+        self._done[i] = done
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -226,13 +201,24 @@ def _streams(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.Generator(np.random.PCG64(c)) for c in children)
 
 
-def _greedy_eval_total(
+def greedy_rollout(
     mdp: Mdp, q_values: np.ndarray, max_steps: int, rng: np.random.Generator
-) -> float:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool]:
+    """Play one episode greedily under per-slot ``q_values``, ties to the
+    lowest index.
+
+    One uniform draw per step decides success; the episode ends at the
+    terminal state, at ``max_steps``, or in a state with no actions.
+    Returns the per-step state, next-state and reward arrays, the total
+    reward, and whether the terminal state was reached.
+    """
+
+    if max_steps < 1:
+        raise ValueError("max_steps must be positive")
     out_state = np.empty(max_steps, dtype=np.int64)
     out_reward = np.empty(max_steps, dtype=np.float64)
     out_next = np.empty(max_steps, dtype=np.int64)
-    _, total, _ = _kernels.greedy_rollout_kernel(
+    steps, total, reached = _kernels.greedy_rollout_kernel(
         mdp.action_offsets,
         mdp.action_dest,
         mdp.action_success,
@@ -246,7 +232,7 @@ def _greedy_eval_total(
         out_reward,
         out_next,
     )
-    return float(total)
+    return out_state[:steps], out_next[:steps], out_reward[:steps], float(total), bool(reached)
 
 
 def _train_tabular(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
@@ -272,7 +258,7 @@ def _train_tabular(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
             rng_train,
         )
         if (episode + 1) % cfg.eval_interval == 0:
-            total = _greedy_eval_total(mdp, q, cfg.max_steps_per_episode, rng_eval)
+            _, _, _, total, _ = greedy_rollout(mdp, q, cfg.max_steps_per_episode, rng_eval)
             curve.append((episode + 1, total))
     q.setflags(write=False)
     return TrainResult(
@@ -328,7 +314,7 @@ def _train_dqn(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
                 s2 = s
                 reward = 0.0
             done = s2 == mdp.terminal_state
-            replay.push(Transition(s, a, reward, s2, done))
+            replay.push(s, a, reward, s2, done)
             if len(replay) >= cfg.batch_size:
                 states, actions, rewards, next_states, dones = replay.sample(
                     cfg.batch_size, rng_train
@@ -352,7 +338,7 @@ def _train_dqn(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
             if done:
                 break
         if (episode + 1) % cfg.eval_interval == 0:
-            total = _greedy_eval_total(
+            _, _, _, total, _ = greedy_rollout(
                 mdp, finite_slot_values(episode + 1), cfg.max_steps_per_episode, rng_eval
             )
             curve.append((episode + 1, total))

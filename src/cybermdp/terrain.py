@@ -21,18 +21,21 @@ filtered to that protocol first, so a firewall blocking only other
 protocols contributes nothing (reward mode) or only its presence factor
 (state mode, whose presence term is protocol-blind by definition).
 
-An adjustment applies to a vanilla process exactly once; the result records
-its provenance and refuses further adjustment.
+``apply_terrain`` is the one transform: it builds a per-state factor from
+the formula functions below and applies it through each action's
+destination to one action array.  An adjustment applies to a vanilla
+process exactly once; the result records its provenance and refuses
+further adjustment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .graph import PROTOCOL_ORDER, AttackGraph, FirewallAnnotation, Protocol
+from .graph import AttackGraph, FirewallAnnotation, Protocol
 from .mdp import Mdp
 
 
@@ -172,84 +175,40 @@ def _require_vanilla(mdp: Mdp) -> None:
         )
 
 
-def apply_reward_terrain(
-    mdp: Mdp,
-    graph: AttackGraph,
-    strength: float,
-    restrict: Protocol | None = None,
-) -> Mdp:
-    """New process with firewall penalties folded into arrival rewards.
-
-    Transitions, states, gamma are untouched; only success-arrival rewards
-    move (failure stay-puts keep reward 0).
-    """
-
-    _require_vanilla(mdp)
-    if strength > 0.0:
-        raise ValueError("strength must be non-positive")
-    firewalls = _destination_firewalls(mdp, graph)
-    penalty_by_state = np.array(
-        [firewall_reward_penalty(fw, strength, restrict) for fw in firewalls],
-        dtype=np.float64,
-    )
-    adjusted = mdp.action_reward + penalty_by_state[mdp.action_dest]
-    return Mdp(
-        states=mdp.states,
-        action_offsets=mdp.action_offsets,
-        action_dest=mdp.action_dest,
-        action_success=mdp.action_success,
-        action_reward=adjusted,
-        gamma=mdp.gamma,
-        initial_state=mdp.initial_state,
-        terminal_state=mdp.terminal_state,
-        terrain_mode=TerrainMode.REWARD.value,
-        terrain_strength=float(strength),
-        terrain_restrict=restrict.value if restrict is not None else None,
-    )
-
-
-def apply_state_terrain(
-    mdp: Mdp,
-    graph: AttackGraph,
-    restrict: Protocol | None = None,
-) -> Mdp:
-    """New process with firewall dampening folded into success probabilities.
-
-    Each slot's success probability becomes p * presence * importance of the
-    destination; the stay-put remainder grows to match.  Rewards, states,
-    gamma are untouched.
-    """
-
-    _require_vanilla(mdp)
-    firewalls = _destination_firewalls(mdp, graph)
-    factor_by_state = np.array(
-        [
-            firewall_presence_factor(fw) * firewall_importance_factor(fw, restrict)
-            for fw in firewalls
-        ],
-        dtype=np.float64,
-    )
-    adjusted = mdp.action_success * factor_by_state[mdp.action_dest]
-    return Mdp(
-        states=mdp.states,
-        action_offsets=mdp.action_offsets,
-        action_dest=mdp.action_dest,
-        action_success=adjusted,
-        action_reward=mdp.action_reward,
-        gamma=mdp.gamma,
-        initial_state=mdp.initial_state,
-        terminal_state=mdp.terminal_state,
-        terrain_mode=TerrainMode.STATE.value,
-        terrain_strength=0.0,
-        terrain_restrict=restrict.value if restrict is not None else None,
-    )
-
-
 def apply_terrain(mdp: Mdp, graph: AttackGraph, config: TerrainConfig) -> Mdp:
-    """Dispatch on config.mode; vanilla returns the process unchanged."""
+    """New process with ``config``'s adjustment folded into one action array;
+    vanilla returns the process unchanged.
+
+    Reward mode adds the destination's penalty to each success-arrival
+    reward (failure stay-puts keep reward 0).  State mode multiplies each
+    slot's success probability by the destination's presence and importance
+    factors, so the stay-put remainder grows to match.  States, gamma and
+    the other array are untouched.
+    """
 
     if config.mode is TerrainMode.VANILLA:
         return mdp
+    _require_vanilla(mdp)
+    firewalls = _destination_firewalls(mdp, graph)
+    restrict = config.restrict
     if config.mode is TerrainMode.REWARD:
-        return apply_reward_terrain(mdp, graph, config.strength, config.restrict)
-    return apply_state_terrain(mdp, graph, config.restrict)
+        penalty = [firewall_reward_penalty(fw, config.strength, restrict) for fw in firewalls]
+        changes = {
+            "action_reward": mdp.action_reward + np.array(penalty)[mdp.action_dest],
+            "terrain_strength": float(config.strength),
+        }
+    else:
+        factor = [
+            firewall_presence_factor(fw) * firewall_importance_factor(fw, restrict)
+            for fw in firewalls
+        ]
+        changes = {
+            "action_success": mdp.action_success * np.array(factor)[mdp.action_dest],
+            "terrain_strength": 0.0,
+        }
+    return replace(
+        mdp,
+        terrain_mode=config.mode.value,
+        terrain_restrict=restrict.value if restrict is not None else None,
+        **changes,
+    )

@@ -1,7 +1,8 @@
 """Independent oracle implementations used by the test suite.
 
 Everything here deliberately avoids the package's own algorithms: the
-reachability oracle is a dense matrix closure instead of BFS, the policy
+transition and reward readers spell out one (state, action) pair's
+successor distribution from the flat action arrays, the reachability oracle is a dense matrix closure instead of BFS, the policy
 oracle solves linear systems and enumerates policies instead of iterating
 Bellman backups, the sweep oracle is a scalar loop over states and slots
 instead of the vectorized backup, depths come from a literally recursive
@@ -73,6 +74,37 @@ def recursive_dfs_depths(graph: AttackGraph) -> dict[str, int]:
 
     visit(graph.initial, 0)
     return depths
+
+
+def success_probability(mdp: Mdp, state: int, action: int) -> float:
+    """Success probability of one attempt of (state, action)."""
+
+    return float(mdp.action_success[mdp.action_slot(state, action)])
+
+
+def transitions(mdp: Mdp, state: int, action: int) -> tuple[tuple[int, float], ...]:
+    """Successor distribution of (state, action): destination with the
+    success probability, plus the stay-put remainder when nonzero."""
+
+    slot = mdp.action_slot(state, action)
+    p = float(mdp.action_success[slot])
+    entries = [(int(mdp.action_dest[slot]), p)]
+    remainder = 1.0 - p
+    if remainder != 0.0:
+        entries.append((state, remainder))
+    return tuple(entries)
+
+
+def reward(mdp: Mdp, state: int, action: int, next_state: int) -> float:
+    """Reward of landing in next_state after (state, action): the arrival
+    reward on success, 0 for the failure stay-put."""
+
+    slot = mdp.action_slot(state, action)
+    if next_state == int(mdp.action_dest[slot]):
+        return float(mdp.action_reward[slot])
+    if next_state == state:
+        return 0.0
+    raise ValueError(f"state {next_state} is not a successor of ({state}, {action})")
 
 
 def policy_values(mdp: Mdp, policy: np.ndarray) -> np.ndarray:

@@ -25,11 +25,11 @@ import numpy as np
 import pytest
 
 from conftest import DESK_PARAMS, component, make_graph
-from oracles import finite_difference_grads, relative_gradient_error
+from oracles import finite_difference_grads, relative_gradient_error, transitions
 
 from cybermdp._kernels import BACKEND
 from cybermdp.cli import main
-from cybermdp.evaluate import compare_variants, policy_success_path, protocol_sweep
+from cybermdp.evaluate import compare_variants, policy_success_path
 from cybermdp.graph import (
     Complexity,
     CvssAnnotation,
@@ -218,7 +218,7 @@ def test_transition_rows_stay_stochastic():
             for mdp in (vanilla, adjusted):
                 for s in range(mdp.num_states):
                     for k in range(mdp.num_actions(s)):
-                        entries = mdp.transitions(s, k)
+                        entries = transitions(mdp, s, k)
                         total = sum(p for _, p in entries)
                         assert abs(total - 1.0) <= EXACT
                         assert all(0.0 <= p <= 1.0 for _, p in entries)
@@ -356,15 +356,16 @@ def test_ftp_block_costs_more_than_ssh_block():
         ordered = 0
         observed = []
         for seed in range(5):
-            sweep = protocol_sweep(
+            report = compare_variants(
                 graph,
-                TerrainMode.REWARD,
-                -2.0,
+                [
+                    TerrainConfig(TerrainMode.REWARD, -2.0, Protocol.FTP),
+                    TerrainConfig(TerrainMode.REWARD, -2.0, Protocol.SSH),
+                ],
                 TrainConfig(seed=seed, **DETOUR_TRAIN),
                 gamma=0.999,
-                protocols=(Protocol.FTP, Protocol.SSH),
             )
-            ftp, ssh = sweep[Protocol.FTP], sweep[Protocol.SSH]
+            ftp, ssh = report.variants
             ok = (
                 ftp.reached_terminal
                 and ssh.reached_terminal

@@ -1,9 +1,11 @@
 """Pinned artifact digests of small ``cybermdp`` runs.
 
 The runs cover every artifact ``compare`` writes on the FTP gauntlet, the
-``--protocols`` sweep curves included, every file of a tabular and of a DQN
-``train`` there, every file of a DQN ``train`` on the ``desk`` preset, and
-the documents ``build`` prints in reward and state mode.  A refactor that
+``--protocols`` sweep curves included, with and without a ``--protocol``
+restriction (whose headline variants are also sweep entries), every file
+of a tabular and of a DQN ``train`` there, every file of a DQN ``train``
+on the ``desk`` preset, and the documents ``build`` prints in reward and
+state mode.  A refactor that
 claims to leave outputs unchanged must keep these digests; a change that
 alters results on purpose must update them and say why.  The runs happen
 inside ``tmp_path`` with relative paths, because a manifest records the
@@ -72,6 +74,56 @@ GOLDEN = {
     ),
 }
 
+# ``compare --protocols --protocol smtp``: the restricted reward and state
+# variants are headline variants and sweep entries at once.
+SMTP_GOLDEN = {
+    "curve_reward_w-2_ftp.csv": (
+        "3a85f8fb5a6c63d9dfb369519554515558ab8f4c4aaf109b27cd2c3770001961"
+    ),
+    "curve_reward_w-2_http.csv": (
+        "a1c574a8a79038547b7d1417741b74325c55c824ccc3a32316b4a343c08fd29b"
+    ),
+    "curve_reward_w-2_smtp.csv": (
+        "a1c574a8a79038547b7d1417741b74325c55c824ccc3a32316b4a343c08fd29b"
+    ),
+    "curve_reward_w-2_ssh.csv": (
+        "a1c574a8a79038547b7d1417741b74325c55c824ccc3a32316b4a343c08fd29b"
+    ),
+    "curve_state_ftp.csv": (
+        "61d2d16d2c24ca3f1fc2a4e5c29388c0a597681a691651659a0006a573d76747"
+    ),
+    "curve_state_http.csv": (
+        "61d2d16d2c24ca3f1fc2a4e5c29388c0a597681a691651659a0006a573d76747"
+    ),
+    "curve_state_smtp.csv": (
+        "61d2d16d2c24ca3f1fc2a4e5c29388c0a597681a691651659a0006a573d76747"
+    ),
+    "curve_state_ssh.csv": (
+        "61d2d16d2c24ca3f1fc2a4e5c29388c0a597681a691651659a0006a573d76747"
+    ),
+    "curve_vanilla.csv": (
+        "a1c574a8a79038547b7d1417741b74325c55c824ccc3a32316b4a343c08fd29b"
+    ),
+    "manifest.json": (
+        "9d63b5de4930ebdd003c7606cb8be9e7311720923edc2ca021ec4f3725d480d0"
+    ),
+    "metrics.json": (
+        "730f3812b95b14010677bec85d902d63f88b5a0030fb4c66898ce357088c1219"
+    ),
+    "path_reward_w-2_smtp.dot": (
+        "0e461ebdae4f4381075138009bf5e2f5bde4ce6c19720f21ad69ff7010e77768"
+    ),
+    "path_state_smtp.dot": (
+        "7d926954f60bc7c7e21af1fba5bb73f6fabcbc5a512dd61dd3733ebeaad8277c"
+    ),
+    "path_vanilla.dot": (
+        "0e461ebdae4f4381075138009bf5e2f5bde4ce6c19720f21ad69ff7010e77768"
+    ),
+    "summary.csv": (
+        "25e4823c9d02730c3bf560bde713e72d5483c9ef383a49ba127bb5012d9e53ab"
+    ),
+}
+
 
 TRAIN_GOLDEN = {
     "curve.csv": "3a85f8fb5a6c63d9dfb369519554515558ab8f4c4aaf109b27cd2c3770001961",
@@ -121,20 +173,20 @@ def gauntlet(tmp_path, monkeypatch):
     return "gauntlet.json"
 
 
-@pytest.fixture
-def compare_dir(gauntlet, tmp_path):
-    argv = [
-        "compare", gauntlet, "--out", "run", "--protocols",
-        "--seed", "2", "--episodes", "150", "--gamma", "0.999",
-        "--eval-interval", "10",
-    ]
-    assert main(argv) == 0
-    return tmp_path / "run"
+COMPARE_ARGV = [
+    "--out", "run", "--protocols", "--seed", "2", "--episodes", "150",
+    "--gamma", "0.999", "--eval-interval", "10",
+]
 
 
-def test_compare_artifacts_are_byte_identical(compare_dir, capsys):
-    capsys.readouterr()
-    assert _digests(compare_dir) == GOLDEN
+def test_compare_artifacts_are_byte_identical(gauntlet, tmp_path):
+    assert main(["compare", gauntlet, *COMPARE_ARGV]) == 0
+    assert _digests(tmp_path / "run") == GOLDEN
+
+
+def test_restricted_compare_artifacts_are_byte_identical(gauntlet, tmp_path):
+    assert main(["compare", gauntlet, *COMPARE_ARGV, "--protocol", "smtp"]) == 0
+    assert _digests(tmp_path / "run") == SMTP_GOLDEN
 
 
 def test_tabular_train_artifacts_are_byte_identical(gauntlet, tmp_path):

@@ -113,6 +113,24 @@ class TestGen:
         doc = dict(SMALL_TOPOLOGY, intra_edge_prob=2.0)
         assert main(["gen", "--config", _json_file(tmp_path, doc)]) == 1
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"protocol_weights": [1]},
+            {"complexity_weights": 5},
+            {"protocol_weights": {"ftp": "heavy"}},
+            {"num_subnets": 2.5},
+            {"seed": "x"},
+            {"seed": 1.5},
+            {"num_subnets": True},
+        ],
+    )
+    def test_mistyped_config_value_exit_one(self, tmp_path, capsys, override):
+        (key,) = override
+        doc = dict(SMALL_TOPOLOGY, **override)
+        assert main(["gen", "--config", _json_file(tmp_path, doc)]) == 1
+        assert f"config key {key!r}" in capsys.readouterr().err
+
     def test_gauntlet_matches_library_fixture(self, gauntlet_file):
         from cybermdp.graph import serialize_attack_graph
 
@@ -354,6 +372,21 @@ class TestCompare:
         for proto in ("ftp", "smtp", "http", "ssh"):
             assert f"curve_reward_w-2_{proto}.csv" in names
             assert f"curve_state_{proto}.csv" in names
+
+    @pytest.mark.parametrize("extra", [(), ("--protocols",)])
+    def test_compiles_the_process_once(self, gauntlet_file, tmp_path, monkeypatch, extra):
+        import cybermdp.evaluate
+
+        calls = []
+        build = cybermdp.evaluate.build_cvss_mdp
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cybermdp.evaluate, "build_cvss_mdp", counting_build)
+        assert self.run_compare(gauntlet_file, tmp_path / "cmp", *extra) == 0
+        assert len(calls) == 1
 
     def test_manifest_reproduces_run_byte_for_byte(self, gauntlet_file, tmp_path):
         first = tmp_path / "cmp1"

@@ -14,10 +14,9 @@ from cybermdp.evaluate import (
     evaluate_variant,
     extract_path,
     policy_success_path,
-    protocol_sweep,
     rollout_greedy,
 )
-from cybermdp.graph import Protocol
+from cybermdp.graph import PROTOCOL_ORDER, Protocol
 from cybermdp.mdp import build_cvss_mdp, value_iteration
 from cybermdp.solver import TabularQ, TrainConfig, train
 from cybermdp.terrain import TerrainConfig, TerrainMode
@@ -252,33 +251,46 @@ class TestVariantEvaluation:
         assert MetricsReport(variants=(v,)).summary_rows()[1][3] == repr(0.0)
 
 
+def restricted(mode, strength=0.0, protocols=PROTOCOL_ORDER):
+    return [TerrainConfig(mode, strength, p) for p in protocols]
+
+
 class TestProtocolSweep:
+    """Per-protocol restricted variants compared in one call, as
+    ``cybermdp compare --protocols`` runs them."""
+
     CFG = TrainConfig(episodes=40, learning_rate=0.4, seed=2)
 
     def test_sweep_covers_canonical_order(self, gauntlet_all):
-        got = protocol_sweep(
-            gauntlet_all, TerrainMode.REWARD, -2.0, self.CFG, gamma=0.999
+        report = compare_variants(
+            gauntlet_all, restricted(TerrainMode.REWARD, -2.0), self.CFG, gamma=0.999
         )
-        assert list(got) == [Protocol.FTP, Protocol.SMTP, Protocol.HTTP, Protocol.SSH]
-        assert got[Protocol.FTP].name == "reward_w-2_ftp"
+        assert PROTOCOL_ORDER == (Protocol.FTP, Protocol.SMTP, Protocol.HTTP, Protocol.SSH)
+        assert [v.name for v in report.variants] == [
+            "reward_w-2_ftp", "reward_w-2_smtp", "reward_w-2_http", "reward_w-2_ssh",
+        ]
 
     def test_vanilla_mode_rejected(self, gauntlet_all):
-        with pytest.raises(ValueError, match="reward or state"):
-            protocol_sweep(gauntlet_all, TerrainMode.VANILLA, 0.0, self.CFG)
+        # A restriction does not name a vanilla variant, so the labels collide.
+        with pytest.raises(ValueError, match="duplicate"):
+            compare_variants(gauntlet_all, restricted(TerrainMode.VANILLA), self.CFG)
 
     def test_firewall_free_graph_gives_identical_curves(self, chain_graph):
-        got = protocol_sweep(
-            chain_graph, TerrainMode.REWARD, -2.0, self.CFG
-        )
-        curves = {v.curve for v in got.values()}
+        report = compare_variants(chain_graph, restricted(TerrainMode.REWARD, -2.0), self.CFG)
+        curves = {v.curve for v in report.variants}
         assert len(curves) == 1
-        totals = {v.total_reward for v in got.values()}
+        totals = {v.total_reward for v in report.variants}
         assert len(totals) == 1
 
     def test_protocol_subset(self, gauntlet_all):
-        got = protocol_sweep(
-            gauntlet_all, TerrainMode.STATE, 0.0, self.CFG, gamma=0.999,
-            protocols=(Protocol.SSH,),
+        # Matched seeds: a variant reports the same alone as inside the sweep.
+        alone = compare_variants(
+            gauntlet_all,
+            restricted(TerrainMode.STATE, protocols=(Protocol.SSH,)),
+            self.CFG,
+            gamma=0.999,
         )
-        assert list(got) == [Protocol.SSH]
-        assert got[Protocol.SSH].name == "state_ssh"
+        swept = compare_variants(
+            gauntlet_all, restricted(TerrainMode.STATE), self.CFG, gamma=0.999
+        )
+        assert alone.variants == (swept.by_name("state_ssh"),)

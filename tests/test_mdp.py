@@ -35,7 +35,14 @@ from cybermdp.mdp import (
     value_iteration,
 )
 from cybermdp.netgen import TopologyParams, generate, plant_gauntlet
-from oracles import enumerate_optimal_values, policy_values, recursive_dfs_depths
+from oracles import (
+    enumerate_optimal_values,
+    policy_values,
+    recursive_dfs_depths,
+    reward,
+    success_probability,
+    transitions,
+)
 
 EXACT = 1e-12
 
@@ -190,9 +197,9 @@ class TestBuild:
         mdp = build_cvss_mdp(g)
         a = mdp.state_index("a")
         # Slot order follows edge declaration order: a->m then a->h.
-        assert mdp.success_probability(a, 0) == 0.6
-        assert mdp.success_probability(a, 1) == 0.3
-        assert mdp.success_probability(mdp.state_index("m"), 0) == 0.9
+        assert success_probability(mdp, a, 0) == 0.6
+        assert success_probability(mdp, a, 1) == 0.3
+        assert success_probability(mdp, mdp.state_index("m"), 0) == 0.9
 
     def test_arrival_rewards_scale_with_depth(self):
         g = make_graph(
@@ -291,7 +298,7 @@ class TestBuild:
             mdp = build_cvss_mdp(random_dag_like_graph(rng, n))
             for s in range(mdp.num_states):
                 for k in range(mdp.num_actions(s)):
-                    total = sum(p for _, p in mdp.transitions(s, k))
+                    total = sum(p for _, p in transitions(mdp, s, k))
                     assert total == pytest.approx(1.0, abs=EXACT)
 
 
@@ -375,13 +382,13 @@ class TestMdpInvariants:
         mdp = make_mdp(
             states=("a", "b"), actions=[[(1, 0.7, 2.5)], []], gamma=0.9
         )
-        assert mdp.transitions(0, 0) == ((1, 0.7), (0, pytest.approx(0.3)))
-        assert mdp.reward(0, 0, 1) == 2.5
-        assert mdp.reward(0, 0, 0) == 0.0
+        assert transitions(mdp, 0, 0) == ((1, 0.7), (0, pytest.approx(0.3)))
+        assert reward(mdp, 0, 0, 1) == 2.5
+        assert reward(mdp, 0, 0, 0) == 0.0
         sure = make_mdp(states=("a", "b"), actions=[[(1, 1.0, 2.5)], []], gamma=0.9)
-        assert sure.transitions(0, 0) == ((1, 1.0),)
+        assert transitions(sure, 0, 0) == ((1, 1.0),)
         with pytest.raises(ValueError):
-            mdp.reward(0, 0, 5)
+            reward(mdp, 0, 0, 5)
 
 
 class TestValueIteration:

@@ -11,16 +11,15 @@ from conftest import DESK_PARAMS, make_mdp
 from cybermdp.graph import Protocol
 from cybermdp.mdp import ConvergenceError, build_cvss_mdp, value_iteration
 from cybermdp.netgen import ENTERPRISE_SCALE, TopologyParams, generate, plant_gauntlet
+from cybermdp._kernels import _q_episode_loop
 from cybermdp.network import QNetwork
 from cybermdp.solver import (
     ALGORITHMS,
     ReplayBuffer,
     TabularQ,
     TrainConfig,
-    Transition,
     _network_slot_values,
     epsilon_greedy,
-    q_update,
     train,
 )
 
@@ -76,28 +75,42 @@ class TestTrainConfig:
         assert cfg.epsilon_at(40) == pytest.approx(0.5)
 
 
+def one_update(q, reward, alpha, gamma, terminal):
+    """q after the first step of one greedy episode from state 0, whose one
+    slot moves to state 1 with certainty and pays ``reward``.  Slot 1 belongs
+    to state 1 and holds the bootstrap value; state 2 has no actions."""
+
+    q = np.array(q, dtype=np.float64)
+    _q_episode_loop(
+        np.array([0, 1, 2, 2], dtype=np.int64),
+        np.array([1, 2], dtype=np.int64),
+        np.array([1.0, 1.0]),
+        np.array([reward, 0.0]),
+        gamma, terminal, q, np.zeros(2), alpha, 0.0, 0.0, 1, 0,
+        np.random.default_rng(0),
+    )
+    return q[0]
+
+
 class TestQUpdate:
+    """The tabular backup q + alpha * (r + gamma * max_next * (1 - done) - q)
+    as the episode loop applies it."""
+
     def test_worked_example(self):
-        got = q_update(q_value=10.0, reward=1.0, max_next=20.0, alpha=0.5,
-                       gamma=0.9, done=False)
+        got = one_update([10.0, 20.0], reward=1.0, alpha=0.5, gamma=0.9, terminal=2)
         assert got == pytest.approx(14.5, abs=1e-12)
 
     def test_full_step_on_terminal(self):
-        assert q_update(3.0, 100.0, 55.0, alpha=1.0, gamma=0.9, done=True) == 100.0
+        assert one_update([3.0, 55.0], 100.0, alpha=1.0, gamma=0.9, terminal=1) == 100.0
 
     def test_zero_alpha_freezes(self):
-        assert q_update(10.0, 1.0, 20.0, alpha=0.0, gamma=0.9, done=False) == 10.0
+        assert one_update([10.0, 20.0], 1.0, alpha=0.0, gamma=0.9, terminal=2) == 10.0
 
     def test_done_drops_bootstrap(self):
-        with_boot = q_update(0.0, 1.0, 50.0, 0.5, 0.9, done=False)
-        without = q_update(0.0, 1.0, 50.0, 0.5, 0.9, done=True)
+        with_boot = one_update([0.0, 50.0], 1.0, 0.5, 0.9, terminal=2)
+        without = one_update([0.0, 50.0], 1.0, 0.5, 0.9, terminal=1)
         assert with_boot == pytest.approx(0.5 * (1.0 + 45.0))
         assert without == pytest.approx(0.5)
-
-    @pytest.mark.parametrize("alpha", [-0.1, 1.1])
-    def test_alpha_bounds(self, alpha):
-        with pytest.raises(ValueError, match="alpha"):
-            q_update(0.0, 1.0, 0.0, alpha, 0.9, False)
 
 
 class TestEpsilonGreedy:
@@ -170,21 +183,21 @@ class TestReplayBuffer:
     def test_size_never_exceeds_capacity(self):
         buf = ReplayBuffer(3)
         for i in range(7):
-            buf.push(Transition(i, 0, float(i), i, False))
+            buf.push(i, 0, float(i), i, False)
             assert len(buf) <= 3
         assert len(buf) == 3
 
     def test_eviction_is_oldest_first(self):
         buf = ReplayBuffer(3)
         for i in range(5):
-            buf.push(Transition(i, 0, float(i), i, False))
+            buf.push(i, 0, float(i), i, False)
         rng = np.random.default_rng(0)
         states, *_ = buf.sample(200, rng)
         assert set(states.tolist()) == {2, 3, 4}
 
     def test_sample_with_replacement(self):
         buf = ReplayBuffer(4)
-        buf.push(Transition(1, 0, 1.0, 1, False))
+        buf.push(1, 0, 1.0, 1, False)
         states, actions, rewards, next_states, done = buf.sample(
             10, np.random.default_rng(0)
         )
@@ -198,7 +211,7 @@ class TestReplayBuffer:
 
     def test_round_trips_fields(self):
         buf = ReplayBuffer(2)
-        buf.push(Transition(3, 1, -1.5, 4, True))
+        buf.push(3, 1, -1.5, 4, True)
         s, a, r, s2, d = buf.sample(1, np.random.default_rng(0))
         assert (int(s[0]), int(a[0]), float(r[0]), int(s2[0]), bool(d[0])) == (
             3, 1, -1.5, 4, True,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import component, make_graph
+from oracles import transitions
 from cybermdp.graph import FirewallAnnotation, Protocol
 from cybermdp.mdp import build_cvss_mdp
 from cybermdp.terrain import (
@@ -17,8 +18,6 @@ from cybermdp.terrain import (
     TerrainConfig,
     TerrainError,
     TerrainMode,
-    apply_reward_terrain,
-    apply_state_terrain,
     apply_terrain,
     firewall_importance_factor,
     firewall_presence_factor,
@@ -26,6 +25,9 @@ from cybermdp.terrain import (
 )
 
 EXACT = 1e-12
+
+REWARD_W2 = TerrainConfig(TerrainMode.REWARD, strength=-2.0)
+STATE = TerrainConfig(TerrainMode.STATE)
 
 
 def wall(*protocols: Protocol) -> FirewallAnnotation:
@@ -185,7 +187,7 @@ def walled_graph():
 class TestApplyReward:
     def test_penalty_lands_on_firewalled_arrivals_only(self, walled_graph):
         vanilla = build_cvss_mdp(walled_graph)
-        adjusted = apply_reward_terrain(vanilla, walled_graph, strength=-2.0)
+        adjusted = apply_terrain(vanilla, walled_graph, REWARD_W2)
         a = adjusted.state_index("a")
         into_f = adjusted.action_slot(a, 0)
         into_o = adjusted.action_slot(a, 1)
@@ -204,7 +206,7 @@ class TestApplyReward:
 
     def test_transitions_untouched(self, walled_graph):
         vanilla = build_cvss_mdp(walled_graph)
-        adjusted = apply_reward_terrain(vanilla, walled_graph, strength=-2.0)
+        adjusted = apply_terrain(vanilla, walled_graph, REWARD_W2)
         np.testing.assert_array_equal(adjusted.action_success, vanilla.action_success)
         np.testing.assert_array_equal(adjusted.action_dest, vanilla.action_dest)
         assert adjusted.states == vanilla.states
@@ -212,13 +214,15 @@ class TestApplyReward:
 
     def test_zero_strength_keeps_values(self, walled_graph):
         vanilla = build_cvss_mdp(walled_graph)
-        adjusted = apply_reward_terrain(vanilla, walled_graph, strength=0.0)
+        adjusted = apply_terrain(vanilla, walled_graph, TerrainConfig(TerrainMode.REWARD))
         np.testing.assert_array_equal(adjusted.action_reward, vanilla.action_reward)
         assert adjusted.terrain_mode == "reward"
 
     def test_firewall_free_graph_is_identity_on_values(self, chain_graph):
         vanilla = build_cvss_mdp(chain_graph)
-        adjusted = apply_reward_terrain(vanilla, chain_graph, strength=-5.0)
+        adjusted = apply_terrain(
+            vanilla, chain_graph, TerrainConfig(TerrainMode.REWARD, strength=-5.0)
+        )
         np.testing.assert_array_equal(adjusted.action_reward, vanilla.action_reward)
 
     def test_penalty_stacks_on_dead_end_reward(self):
@@ -233,26 +237,26 @@ class TestApplyReward:
             terminal="t",
         )
         vanilla = build_cvss_mdp(g)
-        adjusted = apply_reward_terrain(vanilla, g, strength=-2.0)
+        adjusted = apply_terrain(vanilla, g, REWARD_W2)
         a = adjusted.state_index("a")
         slot = adjusted.action_slot(a, 0)
         assert vanilla.action_reward[slot] == -1.0
         assert adjusted.action_reward[slot] == pytest.approx(-2.6, abs=EXACT)
 
-    def test_positive_strength_rejected(self, walled_graph):
-        vanilla = build_cvss_mdp(walled_graph)
+    def test_positive_strength_rejected(self):
+        # A positive strength cannot reach apply_terrain: its config refuses it.
         with pytest.raises(ValueError, match="non-positive"):
-            apply_reward_terrain(vanilla, walled_graph, strength=1.0)
+            TerrainConfig(TerrainMode.REWARD, strength=1.0)
 
     def test_restriction_passthrough(self, walled_graph):
         vanilla = build_cvss_mdp(walled_graph)
-        miss = apply_reward_terrain(
-            vanilla, walled_graph, strength=-2.0, restrict=Protocol.FTP
+        miss = apply_terrain(
+            vanilla, walled_graph, TerrainConfig(TerrainMode.REWARD, -2.0, Protocol.FTP)
         )
         np.testing.assert_array_equal(miss.action_reward, vanilla.action_reward)
         assert miss.terrain_restrict == "ftp"
-        hit = apply_reward_terrain(
-            vanilla, walled_graph, strength=-2.0, restrict=Protocol.SSH
+        hit = apply_terrain(
+            vanilla, walled_graph, TerrainConfig(TerrainMode.REWARD, -2.0, Protocol.SSH)
         )
         a = hit.state_index("a")
         assert hit.action_reward[hit.action_slot(a, 0)] == pytest.approx(
@@ -274,36 +278,36 @@ class TestApplyState:
 
     def test_applied_probabilities_and_remainder(self, walled_graph):
         vanilla = build_cvss_mdp(walled_graph)
-        adjusted = apply_state_terrain(vanilla, walled_graph)
+        adjusted = apply_terrain(vanilla, walled_graph, STATE)
         a = adjusted.state_index("a")
         into_f = adjusted.action_slot(a, 0)
         into_o = adjusted.action_slot(a, 1)
         assert adjusted.action_success[into_f] == pytest.approx(0.0072, abs=EXACT)
         assert adjusted.action_success[into_o] == 0.9
-        stay = dict(adjusted.transitions(a, 0))[a]
+        stay = dict(transitions(adjusted, a, 0))[a]
         assert stay == pytest.approx(1.0 - 0.0072, abs=EXACT)
 
     def test_rewards_untouched(self, walled_graph):
         vanilla = build_cvss_mdp(walled_graph)
-        adjusted = apply_state_terrain(vanilla, walled_graph)
+        adjusted = apply_terrain(vanilla, walled_graph, STATE)
         np.testing.assert_array_equal(adjusted.action_reward, vanilla.action_reward)
 
     def test_rows_still_sum_to_one(self, walled_graph):
-        adjusted = apply_state_terrain(build_cvss_mdp(walled_graph), walled_graph)
+        adjusted = apply_terrain(build_cvss_mdp(walled_graph), walled_graph, STATE)
         for s in range(adjusted.num_states):
             for k in range(adjusted.num_actions(s)):
-                assert sum(p for _, p in adjusted.transitions(s, k)) == pytest.approx(
+                assert sum(p for _, p in transitions(adjusted, s, k)) == pytest.approx(
                     1.0, abs=EXACT
                 )
 
     def test_never_increases_probability(self, walled_graph):
         vanilla = build_cvss_mdp(walled_graph)
-        adjusted = apply_state_terrain(vanilla, walled_graph)
+        adjusted = apply_terrain(vanilla, walled_graph, STATE)
         assert np.all(adjusted.action_success <= vanilla.action_success)
 
     def test_equality_exactly_where_no_firewall(self, walled_graph):
         vanilla = build_cvss_mdp(walled_graph)
-        adjusted = apply_state_terrain(vanilla, walled_graph)
+        adjusted = apply_terrain(vanilla, walled_graph, STATE)
         walled_states = {
             i
             for i, sid in enumerate(vanilla.states)
@@ -329,7 +333,9 @@ class TestApplyState:
             terminal="t",
         )
         vanilla = build_cvss_mdp(g)
-        adjusted = apply_state_terrain(vanilla, g, restrict=Protocol.FTP)
+        adjusted = apply_terrain(
+            vanilla, g, TerrainConfig(TerrainMode.STATE, restrict=Protocol.FTP)
+        )
         a = adjusted.state_index("a")
         slot = adjusted.action_slot(a, 0)
         assert adjusted.action_success[slot] == pytest.approx(
@@ -366,19 +372,19 @@ class TestApplyTerrain:
 
     def test_adjustment_applies_at_most_once(self, walled_graph):
         vanilla = build_cvss_mdp(walled_graph)
-        once = apply_reward_terrain(vanilla, walled_graph, strength=-2.0)
+        once = apply_terrain(vanilla, walled_graph, REWARD_W2)
         with pytest.raises(TerrainError, match="exactly once"):
-            apply_reward_terrain(once, walled_graph, strength=-2.0)
+            apply_terrain(once, walled_graph, REWARD_W2)
         with pytest.raises(TerrainError):
-            apply_state_terrain(once, walled_graph)
-        stated = apply_state_terrain(vanilla, walled_graph)
+            apply_terrain(once, walled_graph, STATE)
+        stated = apply_terrain(vanilla, walled_graph, STATE)
         with pytest.raises(TerrainError):
-            apply_state_terrain(stated, walled_graph)
+            apply_terrain(stated, walled_graph, STATE)
 
     def test_graph_mismatch_rejected(self, walled_graph, chain_graph):
         vanilla = build_cvss_mdp(walled_graph)
         with pytest.raises(ValueError, match="different graph"):
-            apply_reward_terrain(vanilla, chain_graph, strength=-1.0)
+            apply_terrain(vanilla, chain_graph, REWARD_W2)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="non-positive"):
