@@ -62,7 +62,6 @@ from .solver import (
     TabularQ,
     TrainConfig,
     TrainResult,
-    epsilon_greedy,
     train,
 )
 from .terrain import (
@@ -121,7 +120,6 @@ __all__ = [
     "compare_variants",
     "complexity_to_probability",
     "dfs_depths",
-    "epsilon_greedy",
     "evaluate_variant",
     "export_dot",
     "extract_path",

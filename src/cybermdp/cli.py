@@ -363,7 +363,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         mdp = apply_terrain(base, graph, terrain_cfg)
         train_cfg = _train_config(cfg)
         result = train(mdp, train_cfg)
-        metrics = evaluate_variant(terrain_cfg.label(), mdp, train_cfg, result=result)
+        metrics = evaluate_variant(terrain_cfg.label(), mdp, train_cfg, result)
         artifacts = ["curve.csv", "metrics.json", "path.dot"]
         _write_text(out_dir / "curve.csv", _csv_text(_curve_rows(metrics.curve)))
         _write_text(

@@ -4,6 +4,9 @@ The reporting layer: play trained policies greedily, turn the step traces
 into attack paths suitable for DOT highlighting, and run the matched-seed
 comparisons (vanilla, terrain-adjusted and protocol-restricted variants,
 all in one call) that show what a terrain adjustment actually changes.
+Training happens in :func:`cybermdp.solver.train`; only
+:func:`compare_variants` calls it, and everything else here evaluates a
+result it is given.
 Hops count every action taken, including failed attempts that stayed put;
 the distinct-vertex count is reported separately so path length and retry
 count cannot be conflated.
@@ -190,20 +193,11 @@ def _rollout_rng(seed: int) -> np.random.Generator:
 
 
 def evaluate_variant(
-    name: str,
-    mdp: Mdp,
-    train_cfg: TrainConfig,
-    result: TrainResult | None = None,
+    name: str, mdp: Mdp, train_cfg: TrainConfig, result: TrainResult
 ) -> VariantMetrics:
-    """Train on one process and report its greedy rollout.
+    """Report the greedy rollout of ``result``, trained on ``mdp`` under
+    ``train_cfg``; the rollout stream derives from ``train_cfg.seed``."""
 
-    Passing a precomputed ``result`` (from :func:`cybermdp.solver.train`
-    with the same mdp and config) skips the training run; the rollout
-    stream still derives from ``train_cfg.seed`` either way.
-    """
-
-    if result is None:
-        result = train(mdp, train_cfg)
     max_steps = train_cfg.max_steps_per_episode
     trace = rollout_greedy(mdp, result.q, _rollout_rng(train_cfg.seed), max_steps)
     extraction = extract_path(trace)
@@ -243,5 +237,5 @@ def compare_variants(
     rows = []
     for label, cfg in zip(labels, variants):
         adjusted = apply_terrain(base, graph, cfg)
-        rows.append(evaluate_variant(label, adjusted, train_cfg))
+        rows.append(evaluate_variant(label, adjusted, train_cfg, train(adjusted, train_cfg)))
     return MetricsReport(variants=tuple(rows))

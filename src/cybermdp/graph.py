@@ -41,7 +41,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -169,7 +169,7 @@ class Vertex:
             raise TypeError("kind must be a VertexKind value")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AttackGraph:
     """Immutable attack graph with designated entry and goal vertices.
 
@@ -185,8 +185,8 @@ class AttackGraph:
     terminal: str
 
     # Derived indexes, built once in __post_init__.
-    _by_id: dict[str, Vertex] = field(init=False, repr=False)
-    _adjacency: dict[str, tuple[str, ...]] = field(init=False, repr=False)
+    _by_id: dict[str, Vertex] = field(init=False, repr=False, compare=False)
+    _adjacency: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -206,19 +206,6 @@ class AttackGraph:
         object.__setattr__(
             self, "_adjacency", {k: tuple(v) for k, v in adjacency.items()}
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AttackGraph):
-            return NotImplemented
-        return (
-            self.vertices == other.vertices
-            and self.edges == other.edges
-            and self.initial == other.initial
-            and self.terminal == other.terminal
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.edges, self.initial, self.terminal))
 
     def vertex(self, vertex_id: str) -> Vertex:
         try:
@@ -291,6 +278,22 @@ def validate(graph: AttackGraph) -> list[str]:
     return violations
 
 
+def _closure(start: str, neighbours: Callable[[str], Iterable[str]]) -> frozenset[str]:
+    """``start`` plus every vertex id reachable from it through ``neighbours``."""
+
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt: list[str] = []
+        for u in frontier:
+            for w in neighbours(u):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return frozenset(seen)
+
+
 def reachable_set(graph: AttackGraph, from_id: str) -> frozenset[str]:
     """Vertex ids reachable from ``from_id`` along directed edges.
 
@@ -298,17 +301,7 @@ def reachable_set(graph: AttackGraph, from_id: str) -> frozenset[str]:
     """
 
     graph.vertex(from_id)
-    seen = {from_id}
-    frontier = [from_id]
-    while frontier:
-        nxt: list[str] = []
-        for u in frontier:
-            for w in graph.successors(u):
-                if w not in seen and w in graph._by_id:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(seen)
+    return _closure(from_id, lambda u: [w for w in graph.successors(u) if graph.has_vertex(w)])
 
 
 def co_reachable_set(graph: AttackGraph, to_id: str) -> frozenset[str]:
@@ -319,17 +312,7 @@ def co_reachable_set(graph: AttackGraph, to_id: str) -> frozenset[str]:
     for a, b in graph.edges:
         if a in predecessors and b in predecessors:
             predecessors[b].append(a)
-    seen = {to_id}
-    frontier = [to_id]
-    while frontier:
-        nxt: list[str] = []
-        for u in frontier:
-            for w in predecessors[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(seen)
+    return _closure(to_id, predecessors.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .graph import (
     DEFAULT_CVSS,
     Vertex,
     co_reachable_set,
-    reachable_set,
     validate,
 )
 
@@ -253,9 +252,9 @@ def serialize_mdp(mdp: Mdp) -> str:
 def build_cvss_mdp(graph: AttackGraph, gamma: float = 0.9) -> Mdp:
     """Compile a validated attack graph into the vanilla decision process.
 
-    Raises ValueError if the graph has validation violations, if gamma is
-    outside (0, 1], or if the terminal vertex is unreachable from the
-    initial vertex (no depth scale exists in that case).
+    Raises ValueError if the graph has validation violations (an
+    unreachable terminal vertex is one: no depth scale exists then) or if
+    gamma is outside (0, 1].
     """
 
     violations = validate(graph)
@@ -266,14 +265,10 @@ def build_cvss_mdp(graph: AttackGraph, gamma: float = 0.9) -> Mdp:
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
 
-    reachable = reachable_set(graph, graph.initial)
-    if graph.terminal not in reachable:
-        raise ValueError("terminal vertex is not reachable from the initial vertex")
     can_finish = co_reachable_set(graph, graph.terminal)
-
-    states = tuple(v.id for v in graph.vertices if v.id in reachable)
+    depths = dfs_depths(graph)  # keyed by exactly the reachable vertices
+    states = tuple(v.id for v in graph.vertices if v.id in depths)
     index = {sid: i for i, sid in enumerate(states)}
-    depths = dfs_depths(graph)
     terminal_depth = depths[graph.terminal]
 
     def arrival_reward(vid: str) -> float:

@@ -10,19 +10,23 @@ one evaluation episode whose total reward is appended to the learning
 curve.  All randomness derives from named, purpose-split streams of the one
 configured seed, so a run is exactly repeatable.
 
-``tabular`` keeps one value per action slot (the hot episode loop lives in
-``_kernels``); ``dqn`` trains the plain-numpy network from
+:func:`train` runs that protocol once for both algorithms; each supplies
+only how to play one training episode and how to read out its per-slot
+action values.  ``tabular`` keeps one value per action slot (the hot episode
+loop lives in ``_kernels``); ``dqn`` trains the plain-numpy network from
 :mod:`cybermdp.network` with uniform experience replay (a ring buffer, so
 eviction is oldest-first), a hard-synced target copy, and vanilla SGD, and
 raises :class:`~cybermdp.mdp.ConvergenceError` once its values go non-finite.
 Either way the result is a :class:`TabularQ`: the trained network's values
-are read out once into the same per-slot layout, so greedy evaluation runs
+are read out into the same per-slot layout, so greedy evaluation runs
 through the one rollout kernel for both algorithms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -70,10 +74,13 @@ class TrainConfig:
             raise ValueError("max_steps_per_episode must be positive")
         if self.eval_interval < 1:
             raise ValueError("eval_interval must be positive")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.learning_rate_decay < 0.0:
-            raise ValueError("learning_rate_decay must be non-negative")
+        # Written as not (...) so that NaN fails each check.
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if self.algorithm == "tabular" and not self.learning_rate <= 1.0:
+            raise ValueError("a tabular learning_rate must not exceed 1")
+        if not 0.0 <= self.learning_rate_decay < math.inf:
+            raise ValueError("learning_rate_decay must be non-negative and finite")
         for name in ("epsilon_start", "epsilon_end"):
             eps = getattr(self, name)
             if not 0.0 <= eps <= 1.0:
@@ -102,24 +109,6 @@ class TrainConfig:
             span = max(1, int(round(0.8 * self.episodes)))
         frac = min(1.0, episode / span)
         return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
-
-
-def epsilon_greedy(q_row: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
-    """Pick an action index from one state's action values.
-
-    With probability epsilon: uniform over the row; otherwise the argmax,
-    ties to the lowest index.  Raises on an empty row (no admissible
-    actions) and on epsilon outside [0, 1].
-    """
-
-    q_row = np.asarray(q_row)
-    if q_row.size == 0:
-        raise ValueError("no admissible actions")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
-    if rng.random() < epsilon:
-        return int(rng.integers(0, q_row.size))
-    return int(np.argmax(q_row))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,12 +224,18 @@ def greedy_rollout(
     return out_state[:steps], out_next[:steps], out_reward[:steps], float(total), bool(reached)
 
 
-def _train_tabular(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
-    _, rng_train, rng_eval = _streams(cfg.seed)
+def _network_slot_values(mdp: Mdp, net: QNetwork) -> np.ndarray:
+    """The network's action values gathered into the Mdp's per-slot layout."""
+
+    local = np.arange(mdp.num_action_slots) - mdp.action_offsets[mdp.slot_state]
+    return net.q_table()[mdp.slot_state, local]
+
+
+def _tabular_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Callable, Callable]:
     q = np.zeros(mdp.num_action_slots, dtype=np.float64)
     counts = np.zeros(mdp.num_action_slots, dtype=np.float64)
-    curve: list[tuple[int, float]] = []
-    for episode in range(cfg.episodes):
+
+    def episode(epsilon: float) -> None:
         _kernels.q_episode_kernel(
             mdp.action_offsets,
             mdp.action_dest,
@@ -252,30 +247,16 @@ def _train_tabular(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
             counts,
             cfg.learning_rate,
             cfg.learning_rate_decay,
-            cfg.epsilon_at(episode),
+            epsilon,
             cfg.max_steps_per_episode,
             mdp.initial_state,
             rng_train,
         )
-        if (episode + 1) % cfg.eval_interval == 0:
-            _, _, _, total, _ = greedy_rollout(mdp, q, cfg.max_steps_per_episode, rng_eval)
-            curve.append((episode + 1, total))
-    q.setflags(write=False)
-    return TrainResult(
-        q=TabularQ(action_offsets=mdp.action_offsets, values=q),
-        curve=tuple(curve),
-    )
+
+    return episode, lambda episodes_done: q
 
 
-def _network_slot_values(mdp: Mdp, net: QNetwork) -> np.ndarray:
-    """The network's action values gathered into the Mdp's per-slot layout."""
-
-    local = np.arange(mdp.num_action_slots) - mdp.action_offsets[mdp.slot_state]
-    return net.q_table()[mdp.slot_state, local]
-
-
-def _train_dqn(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
-    rng_init, rng_train, rng_eval = _streams(cfg.seed)
+def _dqn_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Callable, Callable]:
     action_counts = np.diff(mdp.action_offsets)
     max_actions = int(action_counts.max()) if action_counts.size else 1
     net = QNetwork(
@@ -289,23 +270,19 @@ def _train_dqn(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
     # (num_states, max_actions) admissibility mask, indexed by next state.
     mask = np.arange(max_actions)[None, :] < action_counts[:, None]
     steps_done = 0
-    curve: list[tuple[int, float]] = []
 
-    def finite_slot_values(episodes_done: int) -> np.ndarray:
-        values = _network_slot_values(mdp, net)
-        if not np.isfinite(values).all():
-            message = f"DQN diverged: non-finite action values after episode {episodes_done}"
-            raise ConvergenceError(message, residual=float("nan"))
-        return values
-
-    for episode in range(cfg.episodes):
-        epsilon = cfg.epsilon_at(episode)
+    def episode(epsilon: float) -> None:
+        nonlocal steps_done
         s = mdp.initial_state
         for _ in range(cfg.max_steps_per_episode):
             n_a = int(action_counts[s])
             if n_a == 0:
                 break
-            a = epsilon_greedy(net.q_row(s)[:n_a], epsilon, rng_train)
+            # Epsilon-greedy; the network row is read only to exploit.
+            if rng_train.random() < epsilon:
+                a = int(rng_train.integers(0, n_a))
+            else:
+                a = int(np.argmax(net.q_row(s)[:n_a]))
             slot = int(mdp.action_offsets[s]) + a
             if rng_train.random() < mdp.action_success[slot]:
                 s2 = int(mdp.action_dest[slot])
@@ -337,21 +314,39 @@ def _train_dqn(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
             s = s2
             if done:
                 break
-        if (episode + 1) % cfg.eval_interval == 0:
+
+    def finite_slot_values(episodes_done: int) -> np.ndarray:
+        values = _network_slot_values(mdp, net)
+        if not np.isfinite(values).all():
+            message = f"DQN diverged: non-finite action values after episode {episodes_done}"
+            raise ConvergenceError(message, residual=float("nan"))
+        return values
+
+    return episode, finite_slot_values
+
+
+def train(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
+    """Train one agent on one process under the shared episode protocol.
+
+    The algorithm supplies ``episode(epsilon)``, which plays and learns from
+    one training episode, and ``slot_values(episodes_done)``, its current
+    per-slot action values; the schedule, the evaluation cadence, the curve
+    and the final read-out are the same for both.
+    """
+
+    rng_init, rng_train, rng_eval = _streams(cfg.seed)
+    learner = _tabular_learner if cfg.algorithm == "tabular" else _dqn_learner
+    episode, slot_values = learner(mdp, cfg, rng_init, rng_train)
+    curve: list[tuple[int, float]] = []
+    for e in range(cfg.episodes):
+        episode(cfg.epsilon_at(e))
+        if (e + 1) % cfg.eval_interval == 0:
             _, _, _, total, _ = greedy_rollout(
-                mdp, finite_slot_values(episode + 1), cfg.max_steps_per_episode, rng_eval
+                mdp, slot_values(e + 1), cfg.max_steps_per_episode, rng_eval
             )
-            curve.append((episode + 1, total))
-    q = finite_slot_values(cfg.episodes)
+            curve.append((e + 1, total))
+    q = slot_values(cfg.episodes)
     q.setflags(write=False)
     return TrainResult(
         q=TabularQ(action_offsets=mdp.action_offsets, values=q), curve=tuple(curve)
     )
-
-
-def train(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
-    """Train one agent on one process under the shared episode protocol."""
-
-    if cfg.algorithm == "tabular":
-        return _train_tabular(mdp, cfg)
-    return _train_dqn(mdp, cfg)

@@ -30,6 +30,7 @@ further adjustment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -80,8 +81,8 @@ class TerrainConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.mode, TerrainMode):
             raise TypeError("mode must be a TerrainMode value")
-        if self.strength > 0.0:
-            raise ValueError("strength must be non-positive")
+        if not -math.inf < self.strength <= 0.0:  # NaN fails too
+            raise ValueError("strength must be non-positive and finite")
         if self.restrict is not None and not isinstance(self.restrict, Protocol):
             raise TypeError("restrict must be a Protocol or None")
 
@@ -123,8 +124,8 @@ def firewall_reward_penalty(
     relevant is blocked.
     """
 
-    if strength > 0.0:
-        raise ValueError("strength must be non-positive")
+    if not -math.inf < strength <= 0.0:  # NaN fails too
+        raise ValueError("strength must be non-positive and finite")
     blocked = _effective_blocked(firewall, restrict)
     if not blocked:
         return 0.0

@@ -291,6 +291,24 @@ class TestTrain:
         ]) == 1
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--learning-rate", "3", "--learning-rate-decay", "0"],
+            ["--learning-rate", "nan"],
+            ["--learning-rate-decay", "nan"],
+            ["--mode", "state", "--w", "nan"],
+        ],
+    )
+    def test_bad_step_size_or_strength_exit_one(self, gauntlet_file, tmp_path, flags):
+        # Accepted, each would leave exploded or NaN values in the artifacts.
+        out = tmp_path / "run"
+        assert main([
+            "train", str(gauntlet_file), "--out", str(out),
+            "--episodes", "100", "--seed", "1", *flags,
+        ]) == 1
+        assert not (out / "manifest.json").exists()
+
     def test_protocol_is_case_insensitive(self, gauntlet_file, tmp_path):
         out = tmp_path / "run"
         assert main([

@@ -335,7 +335,9 @@ class TestRoundTrip:
             initial="a",
             terminal="z",
         )
-        assert parse_attack_graph(serialize_attack_graph(g)) == g
+        parsed = parse_attack_graph(serialize_attack_graph(g))
+        assert parsed == g
+        assert hash(parsed) == hash(g)
 
     def test_firewall_serialized_in_canonical_order(self):
         g = make_graph(

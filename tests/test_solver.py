@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from cybermdp.solver import (
     TabularQ,
     TrainConfig,
     _network_slot_values,
-    epsilon_greedy,
     train,
 )
 
@@ -50,11 +50,21 @@ class TestTrainConfig:
             {"replay_capacity": 8, "batch_size": 9},
             {"target_sync_interval": 0},
             {"hidden_layers": (0,)},
+            {"learning_rate": 3.0},
+            {"learning_rate": math.nan},
+            {"learning_rate": math.inf, "algorithm": "dqn"},
+            {"learning_rate": math.nan, "algorithm": "dqn"},
+            {"learning_rate_decay": math.nan},
+            {"learning_rate_decay": math.inf},
         ],
     )
     def test_rejects_invalid(self, overrides):
         with pytest.raises(ValueError):
             config_with(**overrides)
+
+    def test_dqn_learning_rate_may_exceed_one(self):
+        # Only a tabular step size is a mixing weight bounded by 1.
+        assert config_with(algorithm="dqn", learning_rate=2.0).learning_rate == 2.0
 
     def test_algorithms_tuple(self):
         assert ALGORITHMS == ("tabular", "dqn")
@@ -111,37 +121,6 @@ class TestQUpdate:
         without = one_update([0.0, 50.0], 1.0, 0.5, 0.9, terminal=1)
         assert with_boot == pytest.approx(0.5 * (1.0 + 45.0))
         assert without == pytest.approx(0.5)
-
-
-class TestEpsilonGreedy:
-    def test_zero_epsilon_is_argmax(self):
-        rng = np.random.default_rng(0)
-        q = np.array([1.0, 5.0, 3.0])
-        assert all(epsilon_greedy(q, 0.0, rng) == 1 for _ in range(20))
-
-    def test_ties_break_low(self):
-        rng = np.random.default_rng(0)
-        assert epsilon_greedy(np.array([5.0, 5.0]), 0.0, rng) == 0
-
-    def test_full_epsilon_is_uniform(self):
-        rng = np.random.default_rng(123)
-        q = np.array([100.0, 0.0, 0.0, 0.0])
-        draws = 10_000
-        counts = np.bincount(
-            [epsilon_greedy(q, 1.0, rng) for _ in range(draws)], minlength=4
-        )
-        expected = draws / 4
-        sigma = np.sqrt(draws * 0.25 * 0.75)
-        assert np.all(np.abs(counts - expected) < 3 * sigma)
-
-    def test_empty_row_rejected(self):
-        with pytest.raises(ValueError, match="admissible"):
-            epsilon_greedy(np.array([]), 0.5, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("eps", [-0.1, 1.1])
-    def test_epsilon_bounds(self, eps):
-        with pytest.raises(ValueError, match="epsilon"):
-            epsilon_greedy(np.array([1.0]), eps, np.random.default_rng(0))
 
 
 class TestValueContainers:
@@ -307,6 +286,30 @@ class TestTraining:
         )
         with pytest.raises(ConvergenceError, match="after episode 8"):
             train(mdp, cfg)
+
+    @pytest.mark.parametrize("epsilon, row_reads_per_step", [(1.0, 0), (0.0, 1)])
+    def test_dqn_reads_network_row_only_to_exploit(
+        self, training_mdp, monkeypatch, epsilon, row_reads_per_step
+    ):
+        calls = {"q_row": 0, "push": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(QNetwork, "q_row", counting("q_row", QNetwork.q_row))
+        monkeypatch.setattr(ReplayBuffer, "push", counting("push", ReplayBuffer.push))
+        cfg = config_with(
+            episodes=3, algorithm="dqn", hidden_layers=(8,), batch_size=4,
+            replay_capacity=50, max_steps_per_episode=30,
+            epsilon_start=epsilon, epsilon_end=epsilon,
+        )
+        train(training_mdp, cfg)
+        assert calls["push"] > 0  # one push per training step
+        assert calls["q_row"] == row_reads_per_step * calls["push"]
 
     def test_learned_values_are_frozen(self, training_mdp):
         result = train(training_mdp, config_with(episodes=8))

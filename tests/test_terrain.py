@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,8 +100,9 @@ class TestRewardPenalty:
         assert firewall_reward_penalty(wall(Protocol.SMTP), -2.0, Protocol.FTP) == 0.0
 
     def test_positive_strength_rejected(self):
-        with pytest.raises(ValueError, match="non-positive"):
-            firewall_reward_penalty(wall(Protocol.FTP), 0.5)
+        for strength in (0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-positive and finite"):
+                firewall_reward_penalty(wall(Protocol.FTP), strength)
 
     def test_monotone_in_strength(self):
         fw = wall(Protocol.HTTP)
@@ -244,9 +247,11 @@ class TestApplyReward:
         assert adjusted.action_reward[slot] == pytest.approx(-2.6, abs=EXACT)
 
     def test_positive_strength_rejected(self):
-        # A positive strength cannot reach apply_terrain: its config refuses it.
-        with pytest.raises(ValueError, match="non-positive"):
-            TerrainConfig(TerrainMode.REWARD, strength=1.0)
+        # A positive or non-finite strength cannot reach apply_terrain: its
+        # config refuses it.
+        for strength in (1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-positive and finite"):
+                TerrainConfig(TerrainMode.REWARD, strength=strength)
 
     def test_restriction_passthrough(self, walled_graph):
         vanilla = build_cvss_mdp(walled_graph)
