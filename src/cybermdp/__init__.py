@@ -9,18 +9,16 @@ the one transform ``apply_terrain`` (:mod:`.terrain`), then solve by value
 iteration, tabular Q-learning, or a small Q-network (:mod:`.solver`,
 :mod:`.network`) and compare the learned routes of any set of terrain
 variants, protocol-restricted ones included, in one ``compare_variants``
-call (:mod:`.evaluate`).
+call, which returns one ``VariantMetrics`` per variant (:mod:`.evaluate`).
 """
 
 from .evaluate import (
     EpisodeTrace,
-    MetricsReport,
     PathExtraction,
     VariantMetrics,
     compare_variants,
     evaluate_variant,
     extract_path,
-    policy_success_path,
     rollout_greedy,
 )
 from .graph import (
@@ -94,7 +92,6 @@ __all__ = [
     "GraphWarning",
     "IMPORTANCE_COEFFICIENT",
     "Mdp",
-    "MetricsReport",
     "PROTOCOL_ORDER",
     "PathExtraction",
     "Protocol",
@@ -129,7 +126,6 @@ __all__ = [
     "generate",
     "parse_attack_graph",
     "plant_gauntlet",
-    "policy_success_path",
     "reachable_set",
     "rollout_greedy",
     "serialize_attack_graph",

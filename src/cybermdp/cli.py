@@ -34,7 +34,7 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-from .evaluate import MetricsReport, VariantMetrics, compare_variants, evaluate_variant
+from .evaluate import VariantMetrics, compare_variants, evaluate_variant
 from .graph import (
     PROTOCOL_ORDER,
     AttackGraph,
@@ -211,6 +211,22 @@ def _terrain_config(cfg: dict[str, Any], mode: str | TerrainMode) -> TerrainConf
     protocol = cfg["protocol"]
     restrict = _parse_protocol(protocol) if protocol is not None else None
     return TerrainConfig(mode=TerrainMode(mode), strength=cfg["w"], restrict=restrict)
+
+
+def _summary_rows(variants: Sequence[VariantMetrics]) -> list[list[str]]:
+    """CSV-ready rows (header first); floats via repr for stable bytes.
+
+    Hop counting ambiguity (attempts vs landings) is resolved by the
+    per-variant detail document, which carries distinct_vertices; the
+    summary keeps the four headline columns.
+    """
+
+    rows = [["variant", "hops", "total_reward", "reward_per_hop"]]
+    for v in variants:
+        rows.append(
+            [v.name, str(v.hops), repr(v.total_reward), repr(v.reward_per_hop)]
+        )
+    return rows
 
 
 def _variant_document(v: VariantMetrics) -> dict[str, Any]:
@@ -403,28 +419,28 @@ def cmd_compare(args: argparse.Namespace) -> int:
         # dropping the repeats keeps the headline three first.
         variants = list(dict.fromkeys(variants))
         report = compare_variants(graph, variants, train_cfg, gamma=cfg["gamma"])
-        shown = MetricsReport(report.variants[: len(TerrainMode)])
+        shown = report[: len(TerrainMode)]
         artifacts = ["summary.csv", "metrics.json"]
-        _write_text(out_dir / "summary.csv", _csv_text(shown.summary_rows()))
+        _write_text(out_dir / "summary.csv", _csv_text(_summary_rows(shown)))
         _write_text(
             out_dir / "metrics.json",
             json.dumps(
-                [_variant_document(v) for v in shown.variants],
+                [_variant_document(v) for v in shown],
                 indent=2,
                 sort_keys=True,
             )
             + "\n",
         )
-        for v in report.variants:
+        for v in report:
             curve_name = f"curve_{v.name}.csv"
             _write_text(out_dir / curve_name, _csv_text(_curve_rows(v.curve)))
             artifacts.append(curve_name)
-        for v in shown.variants:
+        for v in shown:
             dot_name = f"path_{v.name}.dot"
             _write_text(out_dir / dot_name, _path_dot(graph, v))
             artifacts.append(dot_name)
         _write_manifest(out_dir, "compare", cfg, args.graph, artifacts)
-        for v in shown.variants:
+        for v in shown:
             print(
                 f"{v.name}: hops={v.hops} distinct={v.distinct_vertices} "
                 f"total_reward={v.total_reward:.3f} reached={str(v.reached_terminal).lower()}"

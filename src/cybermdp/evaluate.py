@@ -4,6 +4,8 @@ The reporting layer: play trained policies greedily, turn the step traces
 into attack paths suitable for DOT highlighting, and run the matched-seed
 comparisons (vanilla, terrain-adjusted and protocol-restricted variants,
 all in one call) that show what a terrain adjustment actually changes.
+A comparison is the tuple of its variants' :class:`VariantMetrics`; the
+CLI turns it into ``metrics.json`` and ``summary.csv``.
 Training happens in :func:`cybermdp.solver.train`; only
 :func:`compare_variants` calls it, and everything else here evaluates a
 result it is given.
@@ -122,29 +124,6 @@ def rollout_greedy(
     )
 
 
-def policy_success_path(mdp: Mdp, policy: np.ndarray) -> tuple[str, ...]:
-    """Vertex sequence a policy visits when every attempt succeeds.
-
-    Follows each state's chosen action to its destination, starting at the
-    initial state, stopping at the terminal state, a revisit (policy
-    cycle), or a state without actions.
-    """
-
-    path = [mdp.vertex_id(mdp.initial_state)]
-    seen = {mdp.initial_state}
-    s = mdp.initial_state
-    while s != mdp.terminal_state:
-        a = int(policy[s])
-        if a < 0:
-            break
-        s = mdp.action_target(s, a)
-        path.append(mdp.vertex_id(s))
-        if s in seen:
-            break
-        seen.add(s)
-    return tuple(path)
-
-
 @dataclass(frozen=True)
 class VariantMetrics:
     """Rollout summary of one trained variant."""
@@ -158,34 +137,6 @@ class VariantMetrics:
     path: tuple[str, ...]
     revisited: bool
     curve: tuple[tuple[int, float], ...]
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Matched-seed comparison across terrain variants."""
-
-    variants: tuple[VariantMetrics, ...]
-
-    def by_name(self, name: str) -> VariantMetrics:
-        for v in self.variants:
-            if v.name == name:
-                return v
-        raise KeyError(f"no variant named {name!r}")
-
-    def summary_rows(self) -> list[list[str]]:
-        """CSV-ready rows (header first); floats via repr for stable bytes.
-
-        Hop counting ambiguity (attempts vs landings) is resolved by the
-        per-variant detail document, which carries distinct_vertices; the
-        summary keeps the four headline columns.
-        """
-
-        rows = [["variant", "hops", "total_reward", "reward_per_hop"]]
-        for v in self.variants:
-            rows.append(
-                [v.name, str(v.hops), repr(v.total_reward), repr(v.reward_per_hop)]
-            )
-        return rows
 
 
 def _rollout_rng(seed: int) -> np.random.Generator:
@@ -220,11 +171,12 @@ def compare_variants(
     variants: Sequence[TerrainConfig],
     train_cfg: TrainConfig,
     gamma: float = 0.9,
-) -> MetricsReport:
-    """Train every variant from the same seed and compare greedy rollouts.
+) -> tuple[VariantMetrics, ...]:
+    """Train every variant from the same seed and return their greedy
+    rollouts' metrics in the order of ``variants``.
 
     All variants share the training seed, the evaluation streams, and the
-    rollout stream, so differences in the report come from the terrain
+    rollout stream, so differences between them come from the terrain
     adjustment alone.  The process is compiled once and every variant is
     a terrain transform of it.  Variant names come from
     ``TerrainConfig.label()`` and must be unique within one comparison.
@@ -238,4 +190,4 @@ def compare_variants(
     for label, cfg in zip(labels, variants):
         adjusted = apply_terrain(base, graph, cfg)
         rows.append(evaluate_variant(label, adjusted, train_cfg, train(adjusted, train_cfg)))
-    return MetricsReport(variants=tuple(rows))
+    return tuple(rows)

@@ -41,7 +41,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 
 class GraphFormatError(ValueError):
@@ -59,13 +59,6 @@ class Protocol(Enum):
     SMTP = "smtp"
     HTTP = "http"
     SSH = "ssh"
-
-    @classmethod
-    def from_token(cls, token: str) -> "Protocol":
-        try:
-            return cls(token.strip().lower())
-        except ValueError:
-            raise GraphFormatError(f"unknown protocol token {token!r}") from None
 
 
 # Canonical ordering used wherever protocol sets must serialize or sum
@@ -85,24 +78,10 @@ class Complexity(Enum):
     MEDIUM = "medium"
     HIGH = "high"
 
-    @classmethod
-    def from_token(cls, token: str) -> "Complexity":
-        try:
-            return cls(token.strip().lower())
-        except ValueError:
-            raise GraphFormatError(f"unknown complexity token {token!r}") from None
-
 
 class VertexKind(Enum):
     COMPONENT = "component"
     RULE = "rule"
-
-    @classmethod
-    def from_token(cls, token: str) -> "VertexKind":
-        try:
-            return cls(token.strip().lower())
-        except ValueError:
-            raise GraphFormatError(f"unknown vertex kind {token!r}") from None
 
 
 @dataclass(frozen=True)
@@ -328,6 +307,19 @@ def _require(mapping: Mapping[str, Any], key: str, where: str) -> Any:
     return mapping[key]
 
 
+_E = TypeVar("_E", bound=Enum)
+
+
+def _parse_token(enum: type[_E], token: str, what: str) -> _E:
+    """The member of ``enum`` named by ``token``, case and surrounding
+    whitespace ignored."""
+
+    try:
+        return enum(token.strip().lower())
+    except ValueError:
+        raise GraphFormatError(f"unknown {what} {token!r}") from None
+
+
 def _parse_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise GraphFormatError(f"{where}: expected a number, got {value!r}")
@@ -344,7 +336,8 @@ def _parse_cvss(doc: Any, where: str) -> CvssAnnotation:
     token = _require(doc, "complexity", where)
     if not isinstance(token, str):
         raise GraphFormatError(f"{where}.complexity: expected a string")
-    return CvssAnnotation(base=base, exploitability=expl, complexity=Complexity.from_token(token))
+    complexity = _parse_token(Complexity, token, "complexity token")
+    return CvssAnnotation(base=base, exploitability=expl, complexity=complexity)
 
 
 def _parse_firewall(doc: Any, where: str) -> FirewallAnnotation:
@@ -355,7 +348,8 @@ def _parse_firewall(doc: Any, where: str) -> FirewallAnnotation:
         raise GraphFormatError(f"{where}.blocked: expected a list of protocol strings")
     if not blocked:
         raise GraphFormatError(f"{where}.blocked: must name at least one protocol")
-    return FirewallAnnotation(blocked=frozenset(Protocol.from_token(t) for t in blocked))
+    protocols = frozenset(_parse_token(Protocol, t, "protocol token") for t in blocked)
+    return FirewallAnnotation(blocked=protocols)
 
 
 def _parse_vertex(doc: Any, index: int) -> Vertex:
@@ -387,7 +381,7 @@ def _parse_vertex(doc: Any, index: int) -> Vertex:
     firewall = _parse_firewall(doc["firewall"], f"{where}.firewall") if "firewall" in doc else None
     return Vertex(
         id=vid,
-        kind=VertexKind.from_token(kind_token),
+        kind=_parse_token(VertexKind, kind_token, "vertex kind"),
         label=label,
         cvss=cvss,
         firewall=firewall,
@@ -458,11 +452,6 @@ def parse_attack_graph(text: str, *, strict: bool = True) -> AttackGraph:
     return graph
 
 
-def _number_out(x: float) -> float | int:
-    # json renders 3.0 as "3.0"; keep floats as floats for stable bytes.
-    return float(x)
-
-
 def graph_to_document(graph: AttackGraph) -> dict[str, Any]:
     """Graph as a plain dict mirroring the interchange schema, key order fixed."""
 
@@ -471,8 +460,8 @@ def graph_to_document(graph: AttackGraph) -> dict[str, Any]:
         entry: dict[str, Any] = {"id": v.id, "kind": v.kind.value, "label": v.label}
         if v.cvss is not None:
             entry["cvss"] = {
-                "base": _number_out(v.cvss.base),
-                "exploitability": _number_out(v.cvss.exploitability),
+                "base": v.cvss.base,
+                "exploitability": v.cvss.exploitability,
                 "complexity": v.cvss.complexity.value,
             }
         if v.firewall is not None:

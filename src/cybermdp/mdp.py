@@ -136,7 +136,6 @@ class Mdp:
     terrain_restrict: str | None = None
 
     slot_state: np.ndarray = field(init=False, repr=False)
-    _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         states = tuple(self.states)
@@ -148,6 +147,8 @@ class Mdp:
         n = len(states)
         if n < 2:
             raise ValueError("an Mdp needs at least an initial and a terminal state")
+        if len(set(states)) != n:
+            raise ValueError("state ids must be unique")
         if offsets.shape != (n + 1,) or offsets[0] != 0 or offsets[-1] != dest.shape[0]:
             raise ValueError("action_offsets must segment the action arrays")
         if np.any(np.diff(offsets) < 0):
@@ -180,9 +181,6 @@ class Mdp:
         object.__setattr__(self, "action_reward", reward)
         object.__setattr__(self, "slot_state", slot_state)
         object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "_index", {sid: i for i, sid in enumerate(states)})
-        if len(self._index) != n:
-            raise ValueError("state ids must be unique")
 
     # -- indexing helpers ---------------------------------------------------
 
@@ -194,25 +192,11 @@ class Mdp:
     def num_action_slots(self) -> int:
         return int(self.action_dest.shape[0])
 
-    def state_index(self, vertex_id: str) -> int:
-        try:
-            return self._index[vertex_id]
-        except KeyError:
-            raise KeyError(f"no state for vertex id {vertex_id!r}") from None
-
     def vertex_id(self, state: int) -> str:
         return self.states[state]
 
     def num_actions(self, state: int) -> int:
         return int(self.action_offsets[state + 1] - self.action_offsets[state])
-
-    def action_slot(self, state: int, action: int) -> int:
-        if not 0 <= action < self.num_actions(state):
-            raise IndexError(f"state {state} has no action {action}")
-        return int(self.action_offsets[state]) + action
-
-    def action_target(self, state: int, action: int) -> int:
-        return int(self.action_dest[self.action_slot(state, action)])
 
     # -- serialization --------------------------------------------------------
 

@@ -77,13 +77,16 @@ class TopologyParams:
             raise ValueError("inter_edge_count must be at least 1")
         if not 0.0 <= self.firewall_prob <= 1.0:
             raise ValueError("firewall_prob must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name, weights in (
             ("protocol_weights", self.protocol_weights),
             ("complexity_weights", self.complexity_weights),
         ):
             for k, w in weights.items():
-                if w < 0:
-                    raise ValueError(f"{name}[{k}] must be non-negative")
+                # Written so that NaN fails the range test too.
+                if not 0.0 <= w < math.inf:
+                    raise ValueError(f"{name}[{k}] must be non-negative and finite, got {w!r}")
         if self.firewall_prob > 0 and not any(
             self.protocol_weights.get(p, 0.0) > 0 for p in PROTOCOL_ORDER
         ):
@@ -253,23 +256,24 @@ _GAUNTLET_SHORT_CVSS = CvssAnnotation(base=3.0, exploitability=3.0, complexity=C
 _GAUNTLET_LONG_CVSS = CvssAnnotation(base=0.5, exploitability=0.0, complexity=Complexity.LOW)
 _GAUNTLET_END_CVSS = CvssAnnotation(base=9.0, exploitability=9.0, complexity=Complexity.LOW)
 _GAUNTLET_ENTRY_CVSS = CvssAnnotation(base=0.0, exploitability=0.0, complexity=Complexity.LOW)
+# Edge counts of the two routes.
+_SHORT_HOPS = 3
+_LONG_HOPS = 6
 
 
 def plant_gauntlet(
     params: TopologyParams,
     blocked: frozenset[Protocol] | set[Protocol],
-    short_hops: int = 3,
-    long_hops: int = 6,
 ) -> AttackGraph:
     """Build the two-route fixture: short through a firewall, long and clean.
 
     The graph has exactly two vertex-disjoint initial-to-terminal routes: a
-    ``short_hops``-edge route whose first intermediate vertex carries a
-    firewall blocking ``blocked``, and a ``long_hops``-edge route with no
-    firewall anywhere.  Construction is deterministic (``params`` is
-    validated for interface symmetry with :func:`generate` but its random
-    fields are unused) because this fixture backs exact, solver-verified
-    comparisons.  Route lengths are recorded in the vertex labels.
+    3-edge route whose first intermediate vertex carries a firewall
+    blocking ``blocked``, and a 6-edge route with no firewall anywhere.
+    Construction is deterministic (``params`` is validated for interface
+    symmetry with :func:`generate` but its random fields are unused)
+    because this fixture backs exact, solver-verified comparisons.  Route
+    lengths are recorded in the vertex labels.
     """
 
     if not isinstance(params, TopologyParams):
@@ -280,22 +284,18 @@ def plant_gauntlet(
     for p in blocked:
         if not isinstance(p, Protocol):
             raise TypeError("blocked entries must be Protocol values")
-    if short_hops < 2:
-        raise ValueError("short_hops must be at least 2")
-    if long_hops <= short_hops:
-        raise ValueError("long_hops must exceed short_hops")
 
     vertices: list[Vertex] = [
         Vertex(
             id="entry",
             kind=VertexKind.COMPONENT,
-            label=f"entry (short route {short_hops} hops, long route {long_hops} hops)",
+            label=f"entry (short route {_SHORT_HOPS} hops, long route {_LONG_HOPS} hops)",
             cvss=_GAUNTLET_ENTRY_CVSS,
         )
     ]
     edges: list[tuple[str, str]] = []
 
-    short_ids = [f"s{i}" for i in range(1, short_hops)]
+    short_ids = [f"s{i}" for i in range(1, _SHORT_HOPS)]
     for i, sid in enumerate(short_ids, start=1):
         firewall = FirewallAnnotation(blocked=blocked) if i == 1 else None
         suffix = ", firewalled" if firewall else ""
@@ -303,18 +303,18 @@ def plant_gauntlet(
             Vertex(
                 id=sid,
                 kind=VertexKind.COMPONENT,
-                label=f"short route hop {i} of {short_hops}{suffix}",
+                label=f"short route hop {i} of {_SHORT_HOPS}{suffix}",
                 cvss=_GAUNTLET_SHORT_CVSS,
                 firewall=firewall,
             )
         )
-    long_ids = [f"l{i}" for i in range(1, long_hops)]
+    long_ids = [f"l{i}" for i in range(1, _LONG_HOPS)]
     for i, lid in enumerate(long_ids, start=1):
         vertices.append(
             Vertex(
                 id=lid,
                 kind=VertexKind.COMPONENT,
-                label=f"long route hop {i} of {long_hops}",
+                label=f"long route hop {i} of {_LONG_HOPS}",
                 cvss=_GAUNTLET_LONG_CVSS,
             )
         )
@@ -323,7 +323,7 @@ def plant_gauntlet(
     )
 
     # Short route first: depth scaling then measures the terminal at
-    # short_hops, and the long route's extra depth dilutes its per-vertex
+    # _SHORT_HOPS, and the long route's extra depth dilutes its per-vertex
     # rewards instead of inflating them.
     chain = ["entry", *short_ids, "target"]
     edges.extend(zip(chain, chain[1:]))
@@ -337,20 +337,3 @@ def plant_gauntlet(
         terminal="target",
     )
 
-
-def expected_vertex_count(params: TopologyParams) -> int:
-    """Exact vertex count :func:`generate` will produce for ``params``."""
-
-    s, h = params.num_subnets, params.hosts_per_subnet
-    return s * h + (s - 1) * (params.inter_edge_count + 2)
-
-
-def expected_edge_count(params: TopologyParams) -> float:
-    """Expected edge count (the intra-subnet extras are Bernoulli draws)."""
-
-    s, h = params.num_subnets, params.hosts_per_subnet
-    chain = s * (h - 1)
-    intra = s * (h - 1) * (h - 1) * params.intra_edge_prob if h >= 2 else 0.0
-    inter = (s - 1) * 2 * params.inter_edge_count
-    decoy = (s - 1) * 3
-    return chain + intra + inter + decoy

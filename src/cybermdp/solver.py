@@ -99,6 +99,8 @@ class TrainConfig:
             raise ValueError("target_sync_interval must be positive")
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError("hidden layer sizes must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
 
     def epsilon_at(self, episode: int) -> float:

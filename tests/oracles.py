@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the package's own algorithms: the
 transition and reward readers spell out one (state, action) pair's
-successor distribution from the flat action arrays, the reachability oracle is a dense matrix closure instead of BFS, the policy
-oracle solves linear systems and enumerates policies instead of iterating
-Bellman backups, the sweep oracle is a scalar loop over states and slots
+successor distribution from the flat action arrays, the success-path
+reader follows a policy slot by slot, the generator's sizes come from
+closed-form counts, the reachability oracle is a dense matrix closure
+instead of BFS, the policy oracle solves linear systems and enumerates
+policies instead of iterating Bellman backups, the sweep oracle is a scalar loop over states and slots
 instead of the vectorized backup, depths come from a literally recursive
 DFS, the network oracle multiplies dense one-hot inputs instead of looking
 up weight rows, and the gradient oracle is central finite differences.
@@ -21,6 +23,7 @@ import numpy as np
 
 from cybermdp.graph import AttackGraph
 from cybermdp.mdp import Mdp
+from cybermdp.netgen import TopologyParams
 from cybermdp.network import QNetwork, td_loss_and_gradients
 
 
@@ -76,17 +79,72 @@ def recursive_dfs_depths(graph: AttackGraph) -> dict[str, int]:
     return depths
 
 
+def expected_vertex_count(params: TopologyParams) -> int:
+    """Exact vertex count ``generate`` produces for ``params``."""
+
+    s, h = params.num_subnets, params.hosts_per_subnet
+    return s * h + (s - 1) * (params.inter_edge_count + 2)
+
+
+def expected_edge_count(params: TopologyParams) -> float:
+    """Expected edge count (the intra-subnet extras are Bernoulli draws)."""
+
+    s, h = params.num_subnets, params.hosts_per_subnet
+    chain = s * (h - 1)
+    intra = s * (h - 1) * (h - 1) * params.intra_edge_prob if h >= 2 else 0.0
+    inter = (s - 1) * 2 * params.inter_edge_count
+    decoy = (s - 1) * 3
+    return chain + intra + inter + decoy
+
+
+def action_slot(mdp: Mdp, state: int, action: int) -> int:
+    """Flat slot index of local action ``action`` of ``state``."""
+
+    if not 0 <= action < mdp.num_actions(state):
+        raise IndexError(f"state {state} has no action {action}")
+    return int(mdp.action_offsets[state]) + action
+
+
+def action_target(mdp: Mdp, state: int, action: int) -> int:
+    """Destination state of (state, action) on success."""
+
+    return int(mdp.action_dest[action_slot(mdp, state, action)])
+
+
+def policy_success_path(mdp: Mdp, policy: np.ndarray) -> tuple[str, ...]:
+    """Vertex sequence a policy visits when every attempt succeeds.
+
+    Follows each state's chosen action to its destination, starting at the
+    initial state, stopping at the terminal state, a revisit (policy
+    cycle), or a state without actions.
+    """
+
+    path = [mdp.vertex_id(mdp.initial_state)]
+    seen = {mdp.initial_state}
+    s = mdp.initial_state
+    while s != mdp.terminal_state:
+        a = int(policy[s])
+        if a < 0:
+            break
+        s = action_target(mdp, s, a)
+        path.append(mdp.vertex_id(s))
+        if s in seen:
+            break
+        seen.add(s)
+    return tuple(path)
+
+
 def success_probability(mdp: Mdp, state: int, action: int) -> float:
     """Success probability of one attempt of (state, action)."""
 
-    return float(mdp.action_success[mdp.action_slot(state, action)])
+    return float(mdp.action_success[action_slot(mdp, state, action)])
 
 
 def transitions(mdp: Mdp, state: int, action: int) -> tuple[tuple[int, float], ...]:
     """Successor distribution of (state, action): destination with the
     success probability, plus the stay-put remainder when nonzero."""
 
-    slot = mdp.action_slot(state, action)
+    slot = action_slot(mdp, state, action)
     p = float(mdp.action_success[slot])
     entries = [(int(mdp.action_dest[slot]), p)]
     remainder = 1.0 - p
@@ -99,7 +157,7 @@ def reward(mdp: Mdp, state: int, action: int, next_state: int) -> float:
     """Reward of landing in next_state after (state, action): the arrival
     reward on success, 0 for the failure stay-put."""
 
-    slot = mdp.action_slot(state, action)
+    slot = action_slot(mdp, state, action)
     if next_state == int(mdp.action_dest[slot]):
         return float(mdp.action_reward[slot])
     if next_state == state:
@@ -123,7 +181,7 @@ def policy_values(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
         k = int(policy[s])
         if k < 0 or mdp.num_actions(s) == 0:
             continue  # absorbing row: v[s] = 0
-        slot = mdp.action_slot(s, k)
+        slot = action_slot(mdp, s, k)
         p = float(mdp.action_success[slot])
         dest = int(mdp.action_dest[slot])
         r = float(mdp.action_reward[slot])

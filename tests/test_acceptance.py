@@ -25,11 +25,19 @@ import numpy as np
 import pytest
 
 from conftest import DESK_PARAMS, component, make_graph
-from oracles import finite_difference_grads, relative_gradient_error, transitions
+from oracles import (
+    action_slot,
+    action_target,
+    expected_vertex_count,
+    finite_difference_grads,
+    policy_success_path,
+    relative_gradient_error,
+    transitions,
+)
 
 from cybermdp._kernels import BACKEND
 from cybermdp.cli import main
-from cybermdp.evaluate import compare_variants, policy_success_path
+from cybermdp.evaluate import compare_variants
 from cybermdp.graph import (
     Complexity,
     CvssAnnotation,
@@ -47,7 +55,6 @@ from cybermdp.mdp import (
 from cybermdp.netgen import (
     ENTERPRISE_SCALE,
     TopologyParams,
-    expected_vertex_count,
     generate,
     plant_gauntlet,
 )
@@ -149,18 +156,18 @@ def test_reward_and_probability_formulas():
             terminal="t",
         )
         mdp = build_cvss_mdp(graph)
-        b = mdp.state_index("b")
+        b = mdp.states.index("b")
         slots = {
-            mdp.vertex_id(mdp.action_target(b, k)): mdp.action_reward[
-                mdp.action_slot(b, k)
+            mdp.vertex_id(action_target(mdp, b, k)): mdp.action_reward[
+                action_slot(mdp, b, k)
             ]
             for k in range(mdp.num_actions(b))
         }
         assert slots["t"] == 100.0
         assert slots["a"] == 0.01
         assert slots["x"] == -1.0
-        x = mdp.state_index("x")
-        assert mdp.action_reward[mdp.action_slot(x, 0)] == -1.0
+        x = mdp.states.index("x")
+        assert mdp.action_reward[action_slot(mdp, x, 0)] == -1.0
 
 
 def test_terrain_coefficient_tables():
@@ -336,7 +343,7 @@ def test_firewall_detour_lengthens_learned_routes():
                 TrainConfig(seed=seed, **DETOUR_TRAIN),
                 gamma=0.999,
             )
-            vanilla, reward, state = report.variants
+            vanilla, reward, state = report
             ok = (
                 reward.hops > vanilla.hops
                 and state.hops > vanilla.hops
@@ -365,7 +372,7 @@ def test_ftp_block_costs_more_than_ssh_block():
                 TrainConfig(seed=seed, **DETOUR_TRAIN),
                 gamma=0.999,
             )
-            ftp, ssh = report.variants
+            ftp, ssh = report
             ok = (
                 ftp.reached_terminal
                 and ssh.reached_terminal

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -123,13 +124,17 @@ class TestGen:
             {"seed": "x"},
             {"seed": 1.5},
             {"num_subnets": True},
+            {"complexity_weights": {"low": math.nan, "medium": 1, "high": 1}},
+            {"protocol_weights": {"ftp": math.inf}, "firewall_prob": 0},
         ],
     )
     def test_mistyped_config_value_exit_one(self, tmp_path, capsys, override):
-        (key,) = override
+        key = next(iter(override))
         doc = dict(SMALL_TOPOLOGY, **override)
         assert main(["gen", "--config", _json_file(tmp_path, doc)]) == 1
-        assert f"config key {key!r}" in capsys.readouterr().err
+        # A wrong type names the config key, a bad weight its map entry.
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err or f"{key}[" in err
 
     def test_gauntlet_matches_library_fixture(self, gauntlet_file):
         from cybermdp.graph import serialize_attack_graph
@@ -308,6 +313,14 @@ class TestTrain:
             "--episodes", "100", "--seed", "1", *flags,
         ]) == 1
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["gen", "train", "compare"])
+    def test_negative_seed_names_key(self, gauntlet_file, tmp_path, capsys, command):
+        argv = [command, "--seed", "-1"]
+        if command != "gen":
+            argv += [str(gauntlet_file), "--out", str(tmp_path / "run"), *FAST_TRAIN]
+        assert main(argv) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_protocol_is_case_insensitive(self, gauntlet_file, tmp_path):
         out = tmp_path / "run"

@@ -54,17 +54,28 @@ class TestEnums:
         assert [p.value for p in PROTOCOL_ORDER] == ["ftp", "smtp", "http", "ssh"]
         assert len(Protocol) == 4
 
+    # The parser reads enum tokens case-insensitively, whitespace stripped.
     def test_protocol_from_token(self):
-        assert Protocol.from_token("FTP") is Protocol.FTP
-        assert Protocol.from_token(" ssh ") is Protocol.SSH
-        with pytest.raises(ValueError):
-            Protocol.from_token("gopher")
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["vertices"][1]["firewall"] = {"blocked": ["FTP", " ssh "]}
+        blocked = parse_attack_graph(json.dumps(doc)).vertex("B").firewall.blocked
+        assert blocked == {Protocol.FTP, Protocol.SSH}
+        doc["vertices"][1]["firewall"] = {"blocked": ["gopher"]}
+        with pytest.raises(GraphFormatError, match="unknown protocol token 'gopher'"):
+            parse_attack_graph(json.dumps(doc))
 
     def test_complexity_tokens(self):
-        assert Complexity.from_token("Low") is Complexity.LOW
-        assert Complexity.from_token("MEDIUM") is Complexity.MEDIUM
-        with pytest.raises(ValueError):
-            Complexity.from_token("extreme")
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["vertices"][0]["cvss"]["complexity"] = "Low"
+        doc["vertices"][1]["cvss"]["complexity"] = "MEDIUM"
+        doc["vertices"][1]["kind"] = " Rule "
+        g = parse_attack_graph(json.dumps(doc))
+        assert g.vertex("A").cvss.complexity is Complexity.LOW
+        assert g.vertex("B").cvss.complexity is Complexity.MEDIUM
+        assert g.vertex("B").kind is VertexKind.RULE
+        doc["vertices"][1]["cvss"]["complexity"] = "extreme"
+        with pytest.raises(GraphFormatError, match="unknown complexity token 'extreme'"):
+            parse_attack_graph(json.dumps(doc))
 
 
 class TestConstruction:
@@ -279,11 +290,11 @@ class TestParse:
     def test_bad_kind_and_protocol_tokens(self):
         doc = json.loads(json.dumps(MINIMAL_DOC))
         doc["vertices"][0]["kind"] = "gadget"
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError, match="unknown vertex kind 'gadget'"):
             parse_attack_graph(json.dumps(doc))
         doc = json.loads(json.dumps(MINIMAL_DOC))
         doc["vertices"][0]["firewall"] = {"blocked": ["carrier-pigeon"]}
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError, match="unknown protocol token"):
             parse_attack_graph(json.dumps(doc))
 
     def test_missing_cvss_defaults_with_warning(self):

@@ -36,6 +36,8 @@ from cybermdp.mdp import (
 )
 from cybermdp.netgen import TopologyParams, generate, plant_gauntlet
 from oracles import (
+    action_slot,
+    action_target,
     enumerate_optimal_values,
     policy_values,
     recursive_dfs_depths,
@@ -195,11 +197,11 @@ class TestBuild:
             "t",
         )
         mdp = build_cvss_mdp(g)
-        a = mdp.state_index("a")
+        a = mdp.states.index("a")
         # Slot order follows edge declaration order: a->m then a->h.
         assert success_probability(mdp, a, 0) == 0.6
         assert success_probability(mdp, a, 1) == 0.3
-        assert success_probability(mdp, mdp.state_index("m"), 0) == 0.9
+        assert success_probability(mdp, mdp.states.index("m"), 0) == 0.9
 
     def test_arrival_rewards_scale_with_depth(self):
         g = make_graph(
@@ -237,25 +239,25 @@ class TestBuild:
             "t",
         )
         mdp = build_cvss_mdp(g)
-        b = mdp.state_index("b")
-        back = mdp.action_slot(b, 0)
+        b = mdp.states.index("b")
+        back = action_slot(mdp, b, 0)
         assert mdp.states[mdp.action_dest[back]] == "a"
         assert mdp.action_reward[back] == INITIAL_REWARD
 
     def test_dead_end_actions_pay_minus_one(self, dead_end_graph):
         mdp = build_cvss_mdp(dead_end_graph)
-        b = mdp.state_index("b")
+        b = mdp.states.index("b")
         # b -> x leads into the doomed branch, b -> d finishes.
         rewards = {
-            mdp.states[mdp.action_dest[mdp.action_slot(b, k)]]: float(
-                mdp.action_reward[mdp.action_slot(b, k)]
+            mdp.states[mdp.action_dest[action_slot(mdp, b, k)]]: float(
+                mdp.action_reward[action_slot(mdp, b, k)]
             )
             for k in range(mdp.num_actions(b))
         }
         assert rewards["x"] == DEAD_END_REWARD
         assert rewards["d"] == TERMINAL_REWARD
-        x = mdp.state_index("x")
-        assert mdp.action_reward[mdp.action_slot(x, 0)] == DEAD_END_REWARD
+        x = mdp.states.index("x")
+        assert mdp.action_reward[action_slot(mdp, x, 0)] == DEAD_END_REWARD
 
     def test_dead_end_overrides_scaling_not_floor(self):
         # The doomed vertex has a juicy score; it still pays exactly -1.
@@ -270,8 +272,8 @@ class TestBuild:
             "t",
         )
         mdp = build_cvss_mdp(g)
-        a = mdp.state_index("a")
-        assert mdp.action_reward[mdp.action_slot(a, 0)] == -1.0
+        a = mdp.states.index("a")
+        assert mdp.action_reward[action_slot(mdp, a, 0)] == -1.0
 
     def test_reward_floor_applies(self):
         g = make_graph(
@@ -371,12 +373,9 @@ class TestMdpInvariants:
     def test_indexing_helpers(self, chain_graph):
         mdp = build_cvss_mdp(chain_graph)
         assert mdp.num_states == 3
-        assert mdp.state_index("b") == 1
         assert mdp.vertex_id(1) == "b"
-        with pytest.raises(KeyError, match="'nope'"):
-            mdp.state_index("nope")
-        with pytest.raises(IndexError):
-            mdp.action_slot(0, 1)
+        assert [mdp.num_actions(s) for s in range(3)] == [1, 1, 0]
+        assert mdp.num_action_slots == 2
 
     def test_transitions_and_reward_accessors(self):
         mdp = make_mdp(
@@ -570,6 +569,6 @@ class TestGauntletProcess:
         short_slot = next(
             k
             for k in range(mdp.num_actions(entry))
-            if mdp.vertex_id(mdp.action_target(entry, k)) == "s1"
+            if mdp.vertex_id(action_target(mdp, entry, k)) == "s1"
         )
         assert int(np.argmax(q)) == short_slot

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cybermdp.graph import (
+    Complexity,
     Protocol,
     VertexKind,
     reachable_set,
@@ -18,13 +20,12 @@ from cybermdp.graph import (
 from cybermdp.netgen import (
     ENTERPRISE_SCALE,
     TopologyParams,
-    expected_edge_count,
-    expected_vertex_count,
     generate,
     plant_gauntlet,
 )
 
 from conftest import DESK_PARAMS
+from oracles import expected_edge_count, expected_vertex_count
 
 
 def params_with(**overrides) -> TopologyParams:
@@ -45,6 +46,9 @@ class TestTopologyParams:
             {"firewall_prob": 1.5},
             {"protocol_weights": {Protocol.FTP: -1.0}},
             {"complexity_weights": {}},
+            {"complexity_weights": {Complexity.LOW: math.nan, Complexity.HIGH: 1.0}},
+            {"protocol_weights": {Protocol.FTP: math.inf}, "firewall_prob": 0.0},
+            {"seed": -1},
         ],
     )
     def test_rejects_out_of_range(self, overrides):
@@ -227,16 +231,12 @@ class TestPlantGauntlet:
         assert walled["s1"].blocked == blocked
 
     def test_labels_record_route_lengths(self):
-        g = plant_gauntlet(DESK_PARAMS, {Protocol.SSH}, short_hops=4, long_hops=7)
+        g = plant_gauntlet(DESK_PARAMS, {Protocol.SSH})
         entry = next(v for v in g.vertices if v.id == "entry")
-        assert "4 hops" in entry.label and "7 hops" in entry.label
+        assert entry.label == "entry (short route 3 hops, long route 6 hops)"
+        assert next(v for v in g.vertices if v.id == "l5").label == "long route hop 5 of 6"
         s1 = next(v for v in g.vertices if v.id == "s1")
-        assert "firewalled" in s1.label
-
-    def test_custom_hop_counts_shape_routes(self):
-        g = plant_gauntlet(DESK_PARAMS, {Protocol.HTTP}, short_hops=2, long_hops=3)
-        assert [v.id for v in g.vertices] == ["entry", "s1", "l1", "l2", "target"]
-        assert ("entry", "s1") in g.edges and ("s1", "target") in g.edges
+        assert s1.label == "short route hop 1 of 3, firewalled"
 
     def test_every_vertex_low_complexity(self):
         g = plant_gauntlet(DESK_PARAMS, {Protocol.FTP})
@@ -261,8 +261,3 @@ class TestPlantGauntlet:
     def test_rejects_non_params(self):
         with pytest.raises(TypeError):
             plant_gauntlet(object(), {Protocol.FTP})
-
-    @pytest.mark.parametrize("short,long", [(1, 6), (3, 3), (3, 2)])
-    def test_rejects_bad_hop_counts(self, short, long):
-        with pytest.raises(ValueError):
-            plant_gauntlet(DESK_PARAMS, {Protocol.FTP}, short_hops=short, long_hops=long)

@@ -56,6 +56,7 @@ class TestTrainConfig:
             {"learning_rate": math.nan, "algorithm": "dqn"},
             {"learning_rate_decay": math.nan},
             {"learning_rate_decay": math.inf},
+            {"seed": -1},
         ],
     )
     def test_rejects_invalid(self, overrides):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import component, make_graph
-from oracles import transitions
+from oracles import action_slot, transitions
 from cybermdp.graph import FirewallAnnotation, Protocol
 from cybermdp.mdp import build_cvss_mdp
 from cybermdp.terrain import (
@@ -191,9 +191,9 @@ class TestApplyReward:
     def test_penalty_lands_on_firewalled_arrivals_only(self, walled_graph):
         vanilla = build_cvss_mdp(walled_graph)
         adjusted = apply_terrain(vanilla, walled_graph, REWARD_W2)
-        a = adjusted.state_index("a")
-        into_f = adjusted.action_slot(a, 0)
-        into_o = adjusted.action_slot(a, 1)
+        a = adjusted.states.index("a")
+        into_f = action_slot(adjusted, a, 0)
+        into_o = action_slot(adjusted, a, 1)
         # Depths: f and o both at depth 1 of 2, so base 8.36 scales to 4.18.
         assert vanilla.action_reward[into_f] == pytest.approx(4.18, abs=EXACT)
         assert adjusted.action_reward[into_f] == pytest.approx(
@@ -241,8 +241,8 @@ class TestApplyReward:
         )
         vanilla = build_cvss_mdp(g)
         adjusted = apply_terrain(vanilla, g, REWARD_W2)
-        a = adjusted.state_index("a")
-        slot = adjusted.action_slot(a, 0)
+        a = adjusted.states.index("a")
+        slot = action_slot(adjusted, a, 0)
         assert vanilla.action_reward[slot] == -1.0
         assert adjusted.action_reward[slot] == pytest.approx(-2.6, abs=EXACT)
 
@@ -263,8 +263,8 @@ class TestApplyReward:
         hit = apply_terrain(
             vanilla, walled_graph, TerrainConfig(TerrainMode.REWARD, -2.0, Protocol.SSH)
         )
-        a = hit.state_index("a")
-        assert hit.action_reward[hit.action_slot(a, 0)] == pytest.approx(
+        a = hit.states.index("a")
+        assert hit.action_reward[action_slot(hit, a, 0)] == pytest.approx(
             4.18 - 0.4, abs=EXACT
         )
 
@@ -284,9 +284,9 @@ class TestApplyState:
     def test_applied_probabilities_and_remainder(self, walled_graph):
         vanilla = build_cvss_mdp(walled_graph)
         adjusted = apply_terrain(vanilla, walled_graph, STATE)
-        a = adjusted.state_index("a")
-        into_f = adjusted.action_slot(a, 0)
-        into_o = adjusted.action_slot(a, 1)
+        a = adjusted.states.index("a")
+        into_f = action_slot(adjusted, a, 0)
+        into_o = action_slot(adjusted, a, 1)
         assert adjusted.action_success[into_f] == pytest.approx(0.0072, abs=EXACT)
         assert adjusted.action_success[into_o] == 0.9
         stay = dict(transitions(adjusted, a, 0))[a]
@@ -341,8 +341,8 @@ class TestApplyState:
         adjusted = apply_terrain(
             vanilla, g, TerrainConfig(TerrainMode.STATE, restrict=Protocol.FTP)
         )
-        a = adjusted.state_index("a")
-        slot = adjusted.action_slot(a, 0)
+        a = adjusted.states.index("a")
+        slot = action_slot(adjusted, a, 0)
         assert adjusted.action_success[slot] == pytest.approx(
             0.9 * 0.01 * 1.0, abs=EXACT
         )
