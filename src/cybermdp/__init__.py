@@ -14,7 +14,6 @@ call, which returns one ``VariantMetrics`` per variant (:mod:`.evaluate`).
 
 from .evaluate import (
     EpisodeTrace,
-    PathExtraction,
     VariantMetrics,
     compare_variants,
     evaluate_variant,
@@ -93,7 +92,6 @@ __all__ = [
     "IMPORTANCE_COEFFICIENT",
     "Mdp",
     "PROTOCOL_ORDER",
-    "PathExtraction",
     "Protocol",
     "QNetwork",
     "REWARD_PENALTY_COEFFICIENT",

@@ -6,7 +6,7 @@ give each slot's destination state, success probability, and success-arrival
 reward; failure keeps the agent in place with reward 0).  The loops here
 work on those arrays only, so the same functions serve as compilation
 targets and as plain Python: the tabular Q-learning episode and the greedy
-rollout.  Value iteration and policy extraction are vectorized numpy in
+rollout, which records only where each step landed.  Value iteration and policy extraction are vectorized numpy in
 :mod:`cybermdp.mdp` on every backend.
 
 Backend selection happens once at import via the ``CYBERMDP_BACKEND``
@@ -128,11 +128,9 @@ def _greedy_rollout_loop(
     terminal,
     max_steps,
     gen,
-    out_state,
-    out_reward,
     out_next,
 ):
-    """Greedy episode under q; fills the out arrays with one row per step.
+    """Greedy episode under q; writes each step's landing state to out_next.
 
     One uniform draw per step (the transition).  Returns
     (steps, total_reward, reached_terminal).
@@ -161,8 +159,6 @@ def _greedy_rollout_loop(
         else:
             s2 = s
             rew = 0.0
-        out_state[steps] = s
-        out_reward[steps] = rew
         out_next[steps] = s2
         total += rew
         steps += 1

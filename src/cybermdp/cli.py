@@ -372,12 +372,12 @@ def _q_table_rows(mdp, table) -> list[list[str]]:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     graph = _load_valid_graph(args.graph)
+    terrain_cfg = _terrain_config(cfg, cfg["mode"])
+    train_cfg = _train_config(cfg)
 
     def body(out_dir: Path) -> int:
-        terrain_cfg = _terrain_config(cfg, cfg["mode"])
         base = build_cvss_mdp(graph, gamma=cfg["gamma"])
         mdp = apply_terrain(base, graph, terrain_cfg)
-        train_cfg = _train_config(cfg)
         result = train(mdp, train_cfg)
         metrics = evaluate_variant(terrain_cfg.label(), mdp, train_cfg, result)
         artifacts = ["curve.csv", "metrics.json", "path.dot"]
@@ -403,21 +403,21 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     graph = _load_valid_graph(args.graph)
+    train_cfg = _train_config(cfg)
+    variants = [_terrain_config(cfg, mode) for mode in TerrainMode]
+    if cfg["protocols"]:
+        # Per-protocol restricted curves for both terrain modes.
+        variants += [
+            dataclasses.replace(v, restrict=p)
+            for v in variants
+            if v.mode is not TerrainMode.VANILLA
+            for p in PROTOCOL_ORDER
+        ]
+    # Under --protocol, two headline variants are also sweep entries;
+    # dropping the repeats keeps the headline three first.
+    variants = list(dict.fromkeys(variants))
 
     def body(out_dir: Path) -> int:
-        train_cfg = _train_config(cfg)
-        variants = [_terrain_config(cfg, mode) for mode in TerrainMode]
-        if cfg["protocols"]:
-            # Per-protocol restricted curves for both terrain modes.
-            variants += [
-                dataclasses.replace(v, restrict=p)
-                for v in variants
-                if v.mode is not TerrainMode.VANILLA
-                for p in PROTOCOL_ORDER
-            ]
-        # Under --protocol, two headline variants are also sweep entries;
-        # dropping the repeats keeps the headline three first.
-        variants = list(dict.fromkeys(variants))
         report = compare_variants(graph, variants, train_cfg, gamma=cfg["gamma"])
         shown = report[: len(TerrainMode)]
         artifacts = ["summary.csv", "metrics.json"]

@@ -1,23 +1,24 @@
 """Greedy-policy evaluation, path extraction, and variant comparisons.
 
-The reporting layer: play trained policies greedily, turn the step traces
-into attack paths suitable for DOT highlighting, and run the matched-seed
-comparisons (vanilla, terrain-adjusted and protocol-restricted variants,
-all in one call) that show what a terrain adjustment actually changes.
+The reporting layer: play trained policies greedily, collapse each played
+episode's visited states into an attack path for DOT highlighting, and run
+the matched-seed comparisons (vanilla, terrain-adjusted and
+protocol-restricted variants, all in one call) that show what a terrain
+adjustment actually changes.
 A comparison is the tuple of its variants' :class:`VariantMetrics`; the
 CLI turns it into ``metrics.json`` and ``summary.csv``.
 Training happens in :func:`cybermdp.solver.train`; only
 :func:`compare_variants` calls it, and everything else here evaluates a
 result it is given.
 Hops count every action taken, including failed attempts that stayed put;
-the distinct-vertex count is reported separately so path length and retry
-count cannot be conflated.
+the distinct-vertex count (the path's length) is reported separately so
+path length and retry count cannot be conflated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,62 +34,24 @@ _ROLLOUT_STREAM_TAG = 0x5E11
 
 @dataclass(frozen=True)
 class EpisodeTrace:
-    """One played episode, as parallel per-step tuples.
+    """One played episode: the start state, then every step's landing (a
+    failed attempt lands where it was taken), or ``()`` if no step was
+    taken.  ``hops`` counts the actions taken, failures included."""
 
-    ``states[i]`` is where step i was taken, ``next_states[i]`` where it
-    landed (equal to ``states[i]`` for a failed attempt), ``rewards[i]``
-    what it paid.  ``hops`` is the number of actions taken, failures
-    included.
-    """
-
-    states: tuple[str, ...]
-    next_states: tuple[str, ...]
-    rewards: tuple[float, ...]
+    visited: tuple[str, ...]
     total_reward: float
     reached_terminal: bool
 
-    def __post_init__(self) -> None:
-        if not (len(self.states) == len(self.next_states) == len(self.rewards)):
-            raise ValueError("trace arrays must have equal length")
-
     @property
     def hops(self) -> int:
-        return len(self.states)
-
-    @property
-    def visited(self) -> tuple[str, ...]:
-        """States in visit order: start state then every landing."""
-
-        if not self.states:
-            return ()
-        return (self.states[0], *self.next_states)
-
-    @property
-    def distinct_vertices(self) -> int:
-        return len(set(self.visited))
+        return max(len(self.visited) - 1, 0)
 
 
-@dataclass(frozen=True)
-class PathExtraction:
-    """Distinct visited vertices in first-visit order.
+def extract_path(visited: Sequence[str]) -> tuple[tuple[str, ...], bool]:
+    """The distinct vertices of a visit sequence in first-visit order, and
+    whether one reappears after another was visited (stay-put repetitions
+    collapse silently); if so, the vertices may not form an edge path."""
 
-    ``revisited`` flags a return to an earlier vertex (other than the
-    stay-put repetitions, which are collapsed silently); when it is set the
-    vertex list may not form a contiguous edge path.
-    """
-
-    vertices: tuple[str, ...]
-    revisited: bool
-
-
-def extract_path(trace: EpisodeTrace | Sequence[str]) -> PathExtraction:
-    """Collapse a visit sequence into first-visit order."""
-
-    visited: Iterable[str]
-    if isinstance(trace, EpisodeTrace):
-        visited = trace.visited
-    else:
-        visited = tuple(trace)
     vertices: list[str] = []
     seen: set[str] = set()
     revisited = False
@@ -102,7 +65,7 @@ def extract_path(trace: EpisodeTrace | Sequence[str]) -> PathExtraction:
             seen.add(vid)
             vertices.append(vid)
         previous = vid
-    return PathExtraction(vertices=tuple(vertices), revisited=revisited)
+    return tuple(vertices), revisited
 
 
 def rollout_greedy(
@@ -114,11 +77,10 @@ def rollout_greedy(
     """Play one episode greedily under ``q`` (see
     :func:`cybermdp.solver.greedy_rollout`) and name its states."""
 
-    states, next_states, rewards, total, reached = greedy_rollout(mdp, q.values, max_steps, rng)
+    landings, total, reached = greedy_rollout(mdp, q.values, max_steps, rng)
+    visited = (mdp.initial_state, *landings.tolist()) if landings.size else ()
     return EpisodeTrace(
-        states=tuple(mdp.states[s] for s in states.tolist()),
-        next_states=tuple(mdp.states[s] for s in next_states.tolist()),
-        rewards=tuple(rewards.tolist()),
+        visited=tuple(mdp.states[s] for s in visited),
         total_reward=total,
         reached_terminal=reached,
     )
@@ -151,17 +113,17 @@ def evaluate_variant(
 
     max_steps = train_cfg.max_steps_per_episode
     trace = rollout_greedy(mdp, result.q, _rollout_rng(train_cfg.seed), max_steps)
-    extraction = extract_path(trace)
+    path, revisited = extract_path(trace.visited)
     hops = trace.hops
     return VariantMetrics(
         name=name,
         hops=hops,
-        distinct_vertices=trace.distinct_vertices,
+        distinct_vertices=len(path),
         total_reward=trace.total_reward,
         reward_per_hop=trace.total_reward / hops if hops else 0.0,
         reached_terminal=trace.reached_terminal,
-        path=extraction.vertices,
-        revisited=extraction.revisited,
+        path=path,
+        revisited=revisited,
         curve=result.curve,
     )
 

@@ -346,8 +346,8 @@ def value_iteration(mdp: Mdp, tol: float = 1e-8, max_iters: int = 100_000) -> Va
     stop being finite.
     """
 
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
 

@@ -194,21 +194,19 @@ def _streams(seed: int) -> tuple[np.random.Generator, ...]:
 
 def greedy_rollout(
     mdp: Mdp, q_values: np.ndarray, max_steps: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool]:
+) -> tuple[np.ndarray, float, bool]:
     """Play one episode greedily under per-slot ``q_values``, ties to the
     lowest index.
 
     One uniform draw per step decides success; the episode ends at the
     terminal state, at ``max_steps``, or in a state with no actions.
-    Returns the per-step state, next-state and reward arrays, the total
-    reward, and whether the terminal state was reached.
+    Returns each step's landing state (where it was taken, for a failed
+    attempt), the total reward, and whether the terminal was reached.
     """
 
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
-    out_state = np.empty(max_steps, dtype=np.int64)
-    out_reward = np.empty(max_steps, dtype=np.float64)
-    out_next = np.empty(max_steps, dtype=np.int64)
+    landings = np.empty(max_steps, dtype=np.int64)
     steps, total, reached = _kernels.greedy_rollout_kernel(
         mdp.action_offsets,
         mdp.action_dest,
@@ -219,11 +217,9 @@ def greedy_rollout(
         mdp.terminal_state,
         max_steps,
         rng,
-        out_state,
-        out_reward,
-        out_next,
+        landings,
     )
-    return out_state[:steps], out_next[:steps], out_reward[:steps], float(total), bool(reached)
+    return landings[:steps], float(total), bool(reached)
 
 
 def _network_slot_values(mdp: Mdp, net: QNetwork) -> np.ndarray:
@@ -343,7 +339,7 @@ def train(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
     for e in range(cfg.episodes):
         episode(cfg.epsilon_at(e))
         if (e + 1) % cfg.eval_interval == 0:
-            _, _, _, total, _ = greedy_rollout(
+            _, total, _ = greedy_rollout(
                 mdp, slot_values(e + 1), cfg.max_steps_per_episode, rng_eval
             )
             curve.append((e + 1, total))

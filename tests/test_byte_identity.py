@@ -4,8 +4,9 @@ The runs cover every artifact ``compare`` writes on the FTP gauntlet, the
 ``--protocols`` sweep curves included, with and without a ``--protocol``
 restriction (whose headline variants are also sweep entries), every file
 of a tabular and of a DQN ``train`` there, every file of a DQN ``train``
-on the ``desk`` preset, and the documents ``build`` prints in reward and
-state mode.  A refactor that
+on the ``desk`` preset, the documents ``build`` prints in reward and
+state mode, and the raw visit sequences of greedy rollouts on ``desk``
+(whose stay-put order ``metrics.json`` only counts).  A refactor that
 claims to leave outputs unchanged must keep these digests; a change that
 alters results on purpose must update them and say why.  The runs happen
 inside ``tmp_path`` with relative paths, because a manifest records the
@@ -16,9 +17,15 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from cybermdp.cli import main
+from cybermdp.cli import PRESETS, main
+from cybermdp.evaluate import rollout_greedy
+from cybermdp.mdp import build_cvss_mdp, slot_values, value_iteration
+from cybermdp.netgen import generate
+from cybermdp.solver import TabularQ
+from cybermdp.terrain import TerrainConfig, TerrainMode, apply_terrain
 
 GOLDEN = {
     "curve_reward_w-2.csv": (
@@ -159,6 +166,12 @@ BUILD_GOLDEN = {
 }
 
 
+# 20 greedy rollouts (rng seeds 0-19, 200-step cap) on the state-mode
+# ``desk`` process under its exact action values: one line per rollout of
+# the visited states, hops, repr of the total reward and the reached flag.
+ROLLOUT_GOLDEN = "d2a9d368928283efc6f50fe305d630c803b94f734acba8260276d740c4cb734b"
+
+
 def _digests(run_dir):
     return {
         f.name: hashlib.sha256(f.read_bytes()).hexdigest()
@@ -223,3 +236,21 @@ def test_build_document_is_byte_identical(gauntlet, capsys, flags):
     assert main(["build", gauntlet, *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BUILD_GOLDEN[flags]
+
+
+def test_rollout_visit_sequences_are_byte_identical():
+    graph = generate(PRESETS["desk"])
+    mdp = apply_terrain(build_cvss_mdp(graph), graph, TerrainConfig(TerrainMode.STATE))
+    q = TabularQ(
+        action_offsets=mdp.action_offsets,
+        values=slot_values(mdp, value_iteration(mdp).values),
+    )
+    lines = []
+    for seed in range(20):
+        trace = rollout_greedy(mdp, q, np.random.default_rng(seed), max_steps=200)
+        lines.append(
+            f"{','.join(trace.visited)}|{trace.hops}|{trace.total_reward!r}"
+            f"|{trace.reached_terminal}"
+        )
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == ROLLOUT_GOLDEN

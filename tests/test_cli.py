@@ -24,6 +24,13 @@ SMALL_TOPOLOGY = {
 
 FAST_TRAIN = ["--episodes", "40", "--learning-rate", "0.4", "--max-steps", "300"]
 
+# A DQN run whose values overflow a few episodes in, after the output
+# directory exists.
+DIVERGING_DQN = [
+    "--algorithm", "dqn", "--learning-rate", "0.2", "--episodes", "8",
+    "--max-steps", "60", "--seed", "4",
+]
+
 CVSS = {"base": 5.0, "exploitability": 5.0, "complexity": "low"}
 
 
@@ -264,24 +271,20 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert "q.csv" not in manifest["artifacts"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_marker_on_domain_error(self, gauntlet_file, tmp_path):
         out = tmp_path / "run"
-        # Positive strength passes config resolution but fails inside the
-        # terrain application, after the output directory exists.
-        code = main([
-            "train", str(gauntlet_file), "--out", str(out), "--w", "1.0",
-            *FAST_TRAIN,
-        ])
+        # Divergence passes config resolution but fails during training,
+        # after the output directory exists.
+        code = main(["train", str(gauntlet_file), "--out", str(out), *DIVERGING_DQN])
         assert code == 1
         marker = (out / "FAILED").read_text(encoding="utf-8")
-        assert "ValueError" in marker
+        assert "ConvergenceError" in marker
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rerun_clears_stale_marker(self, gauntlet_file, tmp_path):
         out = tmp_path / "run"
-        assert main([
-            "train", str(gauntlet_file), "--out", str(out), "--w", "1.0",
-            *FAST_TRAIN,
-        ]) == 1
+        assert main(["train", str(gauntlet_file), "--out", str(out), *DIVERGING_DQN]) == 1
         assert (out / "FAILED").exists()
         assert main([
             "train", str(gauntlet_file), "--out", str(out), *FAST_TRAIN,
@@ -312,7 +315,7 @@ class TestTrain:
             "train", str(gauntlet_file), "--out", str(out),
             "--episodes", "100", "--seed", "1", *flags,
         ]) == 1
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen", "train", "compare"])
     def test_negative_seed_names_key(self, gauntlet_file, tmp_path, capsys, command):
@@ -321,6 +324,24 @@ class TestTrain:
             argv += [str(gauntlet_file), "--out", str(tmp_path / "run"), *FAST_TRAIN]
         assert main(argv) == 1
         assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--learning-rate", "nan"],
+            ["--w", "1"],
+            ["--episodes", "0"],
+            ["--eval-interval", "0"],
+        ],
+    )
+    def test_range_error_writes_nothing(self, gauntlet_file, tmp_path, capsys, command, flags):
+        out = tmp_path / "run"
+        argv = [command, str(gauntlet_file), "--out", str(out), "--episodes", "4", *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_protocol_is_case_insensitive(self, gauntlet_file, tmp_path):
         out = tmp_path / "run"
@@ -336,11 +357,7 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_dqn_divergence_exit_one(self, gauntlet_file, tmp_path, capsys):
         out = tmp_path / "run"
-        assert main([
-            "train", str(gauntlet_file), "--out", str(out),
-            "--algorithm", "dqn", "--learning-rate", "0.2", "--episodes", "8",
-            "--max-steps", "60", "--seed", "4",
-        ]) == 1
+        assert main(["train", str(gauntlet_file), "--out", str(out), *DIVERGING_DQN]) == 1
         assert "diverged" in capsys.readouterr().err
         marker = (out / "FAILED").read_text(encoding="utf-8")
         assert marker.startswith("ConvergenceError:")

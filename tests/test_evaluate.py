@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_mdp
 from oracles import policy_success_path
@@ -22,71 +24,68 @@ from cybermdp.solver import TabularQ, TrainConfig, train
 from cybermdp.terrain import TerrainConfig, TerrainMode
 
 
-def trace_from_landings(*hops: tuple[str, str, float]) -> EpisodeTrace:
-    states = tuple(h[0] for h in hops)
-    next_states = tuple(h[1] for h in hops)
-    rewards = tuple(h[2] for h in hops)
-    return EpisodeTrace(
-        states=states,
-        next_states=next_states,
-        rewards=rewards,
-        total_reward=sum(rewards),
-        reached_terminal=bool(hops) and hops[-1][1] == "t",
-    )
-
-
 class TestEpisodeTrace:
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError, match="equal length"):
-            EpisodeTrace(
-                states=("a",), next_states=(), rewards=(),
-                total_reward=0.0, reached_terminal=False,
-            )
-
     def test_hops_count_failures(self):
-        trace = trace_from_landings(
-            ("a", "a", 0.0), ("a", "a", 0.0), ("a", "b", 2.0), ("b", "t", 100.0)
+        trace = EpisodeTrace(
+            visited=("a", "a", "a", "b", "t"), total_reward=102.0, reached_terminal=True
         )
         assert trace.hops == 4
-        assert trace.distinct_vertices == 3
+        assert len(extract_path(trace.visited)[0]) == 3
         assert trace.visited == ("a", "a", "a", "b", "t")
         assert trace.total_reward == 102.0
 
     def test_empty_trace(self):
-        trace = EpisodeTrace(
-            states=(), next_states=(), rewards=(),
-            total_reward=0.0, reached_terminal=False,
-        )
+        trace = EpisodeTrace(visited=(), total_reward=0.0, reached_terminal=False)
         assert trace.hops == 0
         assert trace.visited == ()
-        assert trace.distinct_vertices == 0
+        assert len(extract_path(trace.visited)[0]) == 0
 
 
 class TestExtractPath:
     def test_collapses_stay_put_repetitions(self):
-        trace = trace_from_landings(
-            ("a", "a", 0.0), ("a", "a", 0.0), ("a", "b", 2.0), ("b", "t", 100.0)
-        )
-        got = extract_path(trace)
-        assert got.vertices == ("a", "b", "t")
-        assert got.revisited is False
+        vertices, revisited = extract_path(("a", "a", "a", "b", "t"))
+        assert vertices == ("a", "b", "t")
+        assert revisited is False
 
     def test_flags_genuine_revisit(self):
-        got = extract_path(("a", "b", "a", "t"))
-        assert got.vertices == ("a", "b", "t")
-        assert got.revisited is True
+        vertices, revisited = extract_path(("a", "b", "a", "t"))
+        assert vertices == ("a", "b", "t")
+        assert revisited is True
 
     def test_raw_sequence_input(self):
-        got = extract_path(["a", "a", "b"])
-        assert got.vertices == ("a", "b")
-        assert got.revisited is False
+        vertices, revisited = extract_path(["a", "a", "b"])
+        assert vertices == ("a", "b")
+        assert revisited is False
 
     def test_empty_trace_yields_empty_path(self):
-        trace = EpisodeTrace(
-            states=(), next_states=(), rewards=(),
-            total_reward=0.0, reached_terminal=False,
+        trace = EpisodeTrace(visited=(), total_reward=0.0, reached_terminal=False)
+        assert extract_path(trace.visited)[0] == ()
+
+
+VISITS = st.lists(st.sampled_from("abcd"), max_size=20)
+
+
+class TestExtractPathProperties:
+    """``evaluate_variant`` reports ``len(path)`` as the distinct-vertex
+    count, which holds only if the path lists each visited vertex once."""
+
+    @settings(deadline=None)
+    @given(VISITS)
+    def test_each_vertex_once_in_first_visit_order(self, visited):
+        vertices, _ = extract_path(visited)
+        assert vertices == tuple(dict.fromkeys(visited))
+        assert len(vertices) == len(set(visited))
+
+    @settings(deadline=None)
+    @given(VISITS)
+    def test_revisited_when_a_vertex_returns_after_another(self, visited):
+        _, revisited = extract_path(visited)
+        returns = any(
+            visited[j] == visited[i] and any(v != visited[i] for v in visited[i + 1 : j])
+            for i in range(len(visited))
+            for j in range(i + 2, len(visited))
         )
-        assert extract_path(trace).vertices == ()
+        assert revisited is returns
 
 
 class TestRolloutGreedy:
@@ -99,7 +98,7 @@ class TestRolloutGreedy:
         ))
         trace = rollout_greedy(mdp, q, np.random.default_rng(0), max_steps=100)
         assert trace.reached_terminal
-        assert extract_path(trace).vertices == ("a", "b", "c")
+        assert extract_path(trace.visited)[0] == ("a", "b", "c")
 
     def test_deterministic_per_rng_state(self, chain_graph):
         mdp = build_cvss_mdp(chain_graph)

@@ -97,26 +97,21 @@ class TestNumbaEquivalence:
     def test_rollout_dispatcher_matches_python(self, arrays):
         mdp = arrays
         q = np.arange(mdp.num_action_slots, dtype=np.float64) % 7
-        outs_c = tuple(
-            np.empty(200, dtype=d) for d in (np.int64, np.float64, np.int64)
-        )
-        outs_p = tuple(
-            np.empty(200, dtype=d) for d in (np.int64, np.float64, np.int64)
-        )
+        out_c = np.empty(200, dtype=np.int64)
+        out_p = np.empty(200, dtype=np.int64)
         res_c = _kernels.greedy_rollout_kernel(
             mdp.action_offsets, mdp.action_dest, mdp.action_success,
             mdp.action_reward, q, mdp.initial_state, mdp.terminal_state,
-            200, fresh_gen(9), *outs_c,
+            200, fresh_gen(9), out_c,
         )
         res_p = _kernels.greedy_rollout_kernel.py_func(
             mdp.action_offsets, mdp.action_dest, mdp.action_success,
             mdp.action_reward, q, mdp.initial_state, mdp.terminal_state,
-            200, fresh_gen(9), *outs_p,
+            200, fresh_gen(9), out_p,
         )
         assert res_c == res_p
         steps = res_c[0]
-        for a, b in zip(outs_c, outs_p):
-            np.testing.assert_array_equal(a[:steps], b[:steps])
+        np.testing.assert_array_equal(out_c[:steps], out_p[:steps])
 
 
 class TestEpisodeLoop:
@@ -190,28 +185,24 @@ class TestRolloutLoop:
         p = np.array([1.0, 1.0])
         r = np.array([0.0, 100.0])
         q = np.zeros(2)  # tie: slot 0 wins, loops forever
-        outs = tuple(
-            np.empty(10, dtype=d) for d in (np.int64, np.float64, np.int64)
-        )
+        landings = np.empty(10, dtype=np.int64)
         steps, total, reached = _greedy_rollout_loop(
-            offsets, dest, p, r, q, 0, 1, 10, fresh_gen(0), *outs
+            offsets, dest, p, r, q, 0, 1, 10, fresh_gen(0), landings
         )
         assert steps == 10 and reached is False
         # Slot 0 loops back to state 0; slot 1 would have reached state 1.
-        assert np.all(outs[2][:steps] == 0)
+        assert np.all(landings[:steps] == 0)
 
     def test_draw_protocol_is_one_uniform_per_step(self):
         offsets = np.array([0, 1, 1], dtype=np.int64)
         dest = np.array([1], dtype=np.int64)
         p = np.array([0.5])
         r = np.array([2.0])
-        outs = tuple(
-            np.empty(50, dtype=d) for d in (np.int64, np.float64, np.int64)
-        )
+        landings = np.empty(50, dtype=np.int64)
         gen = fresh_gen(3)
         expected_draws = [fresh_gen(3).random() for _ in range(50)]
         steps, total, reached = _greedy_rollout_loop(
-            offsets, dest, p, r, np.zeros(1), 0, 1, 50, gen, *outs
+            offsets, dest, p, r, np.zeros(1), 0, 1, 50, gen, landings
         )
         # Count of failures before the first success must match the raw
         # stream: the loop consumes exactly one uniform per step.

@@ -490,7 +490,18 @@ class TestValueIteration:
                 expected = int(np.argmax(q)) if q.size else -1
                 assert res.policy[s] == expected
 
-    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-8}, {"max_iters": 0}])
+    # An infinite tolerance would pass one sweep off as converged, and a NaN
+    # one would run every sweep before failing.
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": 0.0},
+            {"tol": -1e-8},
+            {"max_iters": 0},
+            {"tol": float("inf")},
+            {"tol": float("nan")},
+        ],
+    )
     def test_input_validation(self, chain_graph, kwargs):
         mdp = build_cvss_mdp(chain_graph)
         with pytest.raises(ValueError):
