@@ -12,14 +12,15 @@ configured seed, so a run is exactly repeatable.
 
 :func:`train` runs that protocol once for both algorithms; each supplies
 only how to play one training episode and how to read out its per-slot
-action values.  ``tabular`` keeps one value per action slot (the hot episode
-loop lives in ``_kernels``); ``dqn`` trains the plain-numpy network from
-:mod:`cybermdp.network` with uniform experience replay (a ring buffer, so
-eviction is oldest-first), a hard-synced target copy, and vanilla SGD, and
-raises :class:`~cybermdp.mdp.ConvergenceError` once its values go non-finite.
-Either way the result is a :class:`TabularQ`: the trained network's values
-are read out into the same per-slot layout, so greedy evaluation runs
-through the one rollout kernel for both algorithms.
+action values.  ``tabular`` keeps one value per action slot and plays its
+training episodes in the episode loop of ``_kernels``; ``dqn`` trains the
+plain-numpy network from :mod:`cybermdp.network` with uniform experience
+replay (a ring buffer, so eviction is oldest-first), a hard-synced target
+copy, and vanilla SGD, and raises :class:`~cybermdp.mdp.ConvergenceError`
+once its values go non-finite.  Either way the result is a
+:class:`TabularQ`: the trained network's values are read out into the same
+per-slot layout, so greedy evaluation runs through that same episode loop,
+with learning off, for both algorithms.
 """
 
 from __future__ import annotations
@@ -192,6 +193,12 @@ def _streams(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.Generator(np.random.PCG64(c)) for c in children)
 
 
+# Stand-ins for the array the episode loop leaves untouched in each mode:
+# a greedy rollout counts no visits, a training episode records no landings.
+_NO_COUNTS = np.empty(0, dtype=np.float64)
+_NO_LANDINGS = np.empty(0, dtype=np.int64)
+
+
 def greedy_rollout(
     mdp: Mdp, q_values: np.ndarray, max_steps: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, float, bool]:
@@ -206,16 +213,29 @@ def greedy_rollout(
 
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
+    # The compiled loop is typed for values it may write (it never does
+    # here), which a frozen TabularQ's read-only array is not: copy that one.
+    q_values = np.require(q_values, dtype=np.float64, requirements="W")
+    if q_values.shape != (mdp.num_action_slots,):
+        raise ValueError(
+            f"expected {mdp.num_action_slots} per-slot values, got shape {q_values.shape}"
+        )
     landings = np.empty(max_steps, dtype=np.int64)
-    steps, total, reached = _kernels.greedy_rollout_kernel(
+    steps, total, reached = _kernels.episode_kernel(
         mdp.action_offsets,
         mdp.action_dest,
         mdp.action_success,
         mdp.action_reward,
-        q_values,
-        mdp.initial_state,
+        mdp.gamma,
         mdp.terminal_state,
+        mdp.initial_state,
         max_steps,
+        q_values,
+        _NO_COUNTS,
+        0.0,
+        0.0,
+        0.0,
+        False,
         rng,
         landings,
     )
@@ -234,21 +254,23 @@ def _tabular_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[C
     counts = np.zeros(mdp.num_action_slots, dtype=np.float64)
 
     def episode(epsilon: float) -> None:
-        _kernels.q_episode_kernel(
+        _kernels.episode_kernel(
             mdp.action_offsets,
             mdp.action_dest,
             mdp.action_success,
             mdp.action_reward,
             mdp.gamma,
             mdp.terminal_state,
+            mdp.initial_state,
+            cfg.max_steps_per_episode,
             q,
             counts,
             cfg.learning_rate,
             cfg.learning_rate_decay,
             epsilon,
-            cfg.max_steps_per_episode,
-            mdp.initial_state,
+            True,
             rng_train,
+            _NO_LANDINGS,
         )
 
     return episode, lambda episodes_done: q

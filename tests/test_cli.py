@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cybermdp.cli import main
-from cybermdp.graph import Protocol, parse_attack_graph
+from cybermdp.graph import Protocol, parse_attack_graph, serialize_attack_graph
 from cybermdp.netgen import plant_gauntlet
 
 from conftest import DESK_PARAMS
@@ -144,8 +149,6 @@ class TestGen:
         assert f"config key {key!r}" in err or f"{key}[" in err
 
     def test_gauntlet_matches_library_fixture(self, gauntlet_file):
-        from cybermdp.graph import serialize_attack_graph
-
         text = gauntlet_file.read_text(encoding="utf-8")
         expected = serialize_attack_graph(
             plant_gauntlet(DESK_PARAMS, {Protocol.FTP})
@@ -334,6 +337,9 @@ class TestTrain:
             ["--w", "1"],
             ["--episodes", "0"],
             ["--eval-interval", "0"],
+            ["--gamma", "2"],
+            ["--gamma", "0"],
+            ["--gamma", "nan"],
         ],
     )
     def test_range_error_writes_nothing(self, gauntlet_file, tmp_path, capsys, command, flags):
@@ -523,3 +529,114 @@ class TestExportDot:
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 2}', encoding="utf-8")
         assert main(["export-dot", str(bad)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract under mutated inputs
+# ---------------------------------------------------------------------------
+
+GAUNTLET_DOC = json.loads(
+    serialize_attack_graph(plant_gauntlet(DESK_PARAMS, frozenset({Protocol.FTP})))
+)
+
+TRAIN_DOC = {
+    "algorithm": "tabular",
+    "max_steps_per_episode": 60,
+    "eval_interval": 2,
+    "learning_rate": 0.4,
+    "gamma": 0.9,
+    "w": -2.0,
+    "mode": "state",
+    "protocol": "ftp",
+    "hidden_layers": [4],
+    "batch_size": 4,
+    "seed": 1,
+}
+
+# Replacement values: any JSON, plus tokens the documents give meaning to
+# (mutated() adds each document's own scalars).  Integers stay small so
+# that no mutated step cap or layer size runs long.
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 300)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["dqn", "vanilla", "reward", "SSH", "ghost", "high"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _nested(node, prefix=()):
+    """(key path, value) of every value nested in ``node``, depth first."""
+
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,), child
+        yield from _nested(child, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three of the values it nests, each picked
+    uniformly, deleted or replaced (by any JSON or one of its own scalars)."""
+
+    doc = copy.deepcopy(doc)
+    scalars = {repr(v): v for _, v in _nested(doc) if not isinstance(v, (dict, list))}
+    values = st.sampled_from(sorted(scalars.values(), key=repr)) | _JSON_VALUES
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [path for path, _ in _nested(doc)]
+        if not paths:
+            break
+        *path, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(values)
+    return doc
+
+
+class TestExitCodeContract:
+    """Whatever the input documents hold, a command ends with exit code 0, 1
+    or 2, never with an exception escaping main()."""
+
+    # A mutated vertex may lose its annotation, which the lenient parse warns of.
+    @pytest.mark.filterwarnings("ignore::cybermdp.graph.GraphWarning")
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(doc=mutated(GAUNTLET_DOC))
+    def test_graph_commands(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            graph = Path(tmp, "g.json")
+            graph.write_text(json.dumps(doc), encoding="utf-8")
+            for argv in (
+                ["validate", str(graph)],
+                ["build", str(graph), "--mode", "state", "--out", str(Path(tmp, "mdp.json"))],
+                ["export-dot", str(graph), "--out", str(Path(tmp, "g.dot")),
+                 "--highlight", "entry,s1,s2,target"],
+            ):
+                assert main(argv) in (0, 1, 2), argv
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(doc=mutated(TRAIN_DOC), episodes=st.integers(1, 4))
+    def test_train_config(self, doc, episodes):
+        with tempfile.TemporaryDirectory() as tmp:
+            graph = Path(tmp, "g.json")
+            graph.write_text(json.dumps(GAUNTLET_DOC), encoding="utf-8")
+            config = Path(tmp, "cfg.json")
+            config.write_text(json.dumps(doc), encoding="utf-8")
+            argv = [
+                "train", str(graph), "--out", str(Path(tmp, "run")),
+                "--config", str(config), "--episodes", str(episodes),
+            ]
+            assert main(argv) in (0, 1, 2)

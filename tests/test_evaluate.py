@@ -150,6 +150,15 @@ class TestRolloutGreedy:
         with pytest.raises(ValueError, match="max_steps"):
             rollout_greedy(mdp, q, np.random.default_rng(0), max_steps=0)
 
+    @pytest.mark.parametrize("length", [3, 59])
+    def test_rejects_values_of_the_wrong_length(self, gauntlet_ftp, length):
+        # Too few would index past the values, too many would play silently.
+        mdp = build_cvss_mdp(gauntlet_ftp)
+        assert mdp.num_action_slots == 9
+        q = TabularQ(action_offsets=mdp.action_offsets, values=np.zeros(length))
+        with pytest.raises(ValueError, match="9 per-slot values"):
+            rollout_greedy(mdp, q, np.random.default_rng(0))
+
 
 class TestPolicySuccessPath:
     """The oracle that the obstacle-avoidance gate reads exact policies with."""

@@ -2,8 +2,8 @@
 
 The numba and numpy backends must be bit-identical, not merely close: the
 same seeds must yield the same artifacts regardless of which backend built
-them.  These tests compare the compiled dispatchers against their pure
-Python twins, and value iteration's vectorized backup against the scalar
+them.  These tests compare the compiled episode dispatcher against its pure
+Python twin, and value iteration's vectorized backup against the scalar
 sweep in oracles.py.
 """
 
@@ -19,7 +19,7 @@ import pytest
 
 from cybermdp import _kernels
 from conftest import make_mdp
-from cybermdp._kernels import _greedy_rollout_loop, _q_episode_loop
+from cybermdp._kernels import _episode_loop
 from cybermdp.mdp import build_cvss_mdp, value_iteration
 from cybermdp.netgen import TopologyParams, generate
 from oracles import scalar_value_iteration
@@ -37,6 +37,10 @@ def arrays():
 
 def fresh_gen(seed: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
+
+
+# What a training episode gets for the landings it does not record.
+NO_LANDINGS = np.empty(0, dtype=np.int64)
 
 
 def assert_matches_scalar_loop(mdp, tol, max_iters):
@@ -73,45 +77,30 @@ class TestVectorizedSweep:
 
 @needs_numba
 class TestNumbaEquivalence:
-    def test_episode_dispatcher_matches_python(self, arrays):
+    @pytest.mark.parametrize("learn", [True, False])
+    def test_dispatcher_matches_python(self, arrays, learn):
         mdp = arrays
-        q_c = np.zeros(mdp.num_action_slots)
-        c_c = np.zeros(mdp.num_action_slots)
-        q_p = np.zeros(mdp.num_action_slots)
-        c_p = np.zeros(mdp.num_action_slots)
-        for episode in range(20):
-            out_c = _kernels.q_episode_kernel(
-                mdp.action_offsets, mdp.action_dest, mdp.action_success,
-                mdp.action_reward, 0.9, mdp.terminal_state, q_c, c_c,
-                0.3, 0.5, 0.4, 200, mdp.initial_state, fresh_gen(episode),
-            )
-            out_p = _kernels.q_episode_kernel.py_func(
-                mdp.action_offsets, mdp.action_dest, mdp.action_success,
-                mdp.action_reward, 0.9, mdp.terminal_state, q_p, c_p,
-                0.3, 0.5, 0.4, 200, mdp.initial_state, fresh_gen(episode),
-            )
-            assert out_c == out_p
+
+        def play(kernel):
+            q = np.arange(mdp.num_action_slots, dtype=np.float64) % 7
+            counts = np.zeros(mdp.num_action_slots)
+            record = []
+            for episode in range(20):
+                landings = np.zeros(200, dtype=np.int64)
+                out = kernel(
+                    mdp.action_offsets, mdp.action_dest, mdp.action_success,
+                    mdp.action_reward, 0.9, mdp.terminal_state, mdp.initial_state,
+                    200, q, counts, 0.3, 0.5, 0.4, learn, fresh_gen(episode),
+                    landings,
+                )
+                record.append((out, landings.tolist()))
+            return record, q, counts
+
+        record_c, q_c, c_c = play(_kernels.episode_kernel)
+        record_p, q_p, c_p = play(_kernels.episode_kernel.py_func)
+        assert record_c == record_p
         np.testing.assert_array_equal(q_c, q_p)
         np.testing.assert_array_equal(c_c, c_p)
-
-    def test_rollout_dispatcher_matches_python(self, arrays):
-        mdp = arrays
-        q = np.arange(mdp.num_action_slots, dtype=np.float64) % 7
-        out_c = np.empty(200, dtype=np.int64)
-        out_p = np.empty(200, dtype=np.int64)
-        res_c = _kernels.greedy_rollout_kernel(
-            mdp.action_offsets, mdp.action_dest, mdp.action_success,
-            mdp.action_reward, q, mdp.initial_state, mdp.terminal_state,
-            200, fresh_gen(9), out_c,
-        )
-        res_p = _kernels.greedy_rollout_kernel.py_func(
-            mdp.action_offsets, mdp.action_dest, mdp.action_success,
-            mdp.action_reward, q, mdp.initial_state, mdp.terminal_state,
-            200, fresh_gen(9), out_p,
-        )
-        assert res_c == res_p
-        steps = res_c[0]
-        np.testing.assert_array_equal(out_c[:steps], out_p[:steps])
 
 
 class TestEpisodeLoop:
@@ -124,9 +113,9 @@ class TestEpisodeLoop:
         r = np.array([0.5])
         q = np.zeros(1)
         counts = np.zeros(1)
-        steps, total, reached = _q_episode_loop(
-            offsets, dest, p, r, 0.9, 1, q, counts, 0.1, 0.0, 0.0, 25, 0,
-            fresh_gen(0),
+        steps, total, reached = _episode_loop(
+            offsets, dest, p, r, 0.9, 1, 0, 25, q, counts, 0.1, 0.0, 0.0,
+            True, fresh_gen(0), NO_LANDINGS,
         )
         assert steps == 25
         assert reached is False
@@ -139,9 +128,9 @@ class TestEpisodeLoop:
         r = np.array([100.0])
         q = np.zeros(1)
         counts = np.zeros(1)
-        steps, total, reached = _q_episode_loop(
-            offsets, dest, p, r, 0.9, 1, q, counts, 1.0, 0.0, 0.0, 25, 0,
-            fresh_gen(0),
+        steps, total, reached = _episode_loop(
+            offsets, dest, p, r, 0.9, 1, 0, 25, q, counts, 1.0, 0.0, 0.0,
+            True, fresh_gen(0), NO_LANDINGS,
         )
         assert (steps, total, reached) == (1, 100.0, True)
         assert q[0] == 100.0  # full-alpha terminal backup
@@ -153,9 +142,9 @@ class TestEpisodeLoop:
         r = np.array([1.0])
         q = np.zeros(1)
         counts = np.zeros(1)
-        _q_episode_loop(
-            offsets, dest, p, r, 0.0, 1, q, counts, 1.0, 1.0, 0.0, 3, 0,
-            fresh_gen(0),
+        _episode_loop(
+            offsets, dest, p, r, 0.0, 1, 0, 3, q, counts, 1.0, 1.0, 0.0,
+            True, fresh_gen(0), NO_LANDINGS,
         )
         # alpha_eff = 1/n per visit with gamma 0: q converges on the running
         # average of the constant reward, i.e. exactly 1.
@@ -169,9 +158,9 @@ class TestEpisodeLoop:
         r = np.array([-1.0])
         q = np.zeros(1)
         counts = np.zeros(1)
-        steps, total, reached = _q_episode_loop(
-            offsets, dest, p, r, 0.9, 2, q, counts, 0.5, 0.0, 0.0, 50, 0,
-            fresh_gen(0),
+        steps, total, reached = _episode_loop(
+            offsets, dest, p, r, 0.9, 2, 0, 50, q, counts, 0.5, 0.0, 0.0,
+            True, fresh_gen(0), NO_LANDINGS,
         )
         # lands in the action-less state 1 and stops there.
         assert steps == 1
@@ -179,6 +168,8 @@ class TestEpisodeLoop:
 
 
 class TestRolloutLoop:
+    """``learn=False``: the greedy rollout, which ignores epsilon."""
+
     def test_greedy_tie_breaks_low_and_caps(self):
         offsets = np.array([0, 2, 2], dtype=np.int64)
         dest = np.array([0, 1], dtype=np.int64)
@@ -186,8 +177,9 @@ class TestRolloutLoop:
         r = np.array([0.0, 100.0])
         q = np.zeros(2)  # tie: slot 0 wins, loops forever
         landings = np.empty(10, dtype=np.int64)
-        steps, total, reached = _greedy_rollout_loop(
-            offsets, dest, p, r, q, 0, 1, 10, fresh_gen(0), landings
+        steps, total, reached = _episode_loop(
+            offsets, dest, p, r, 0.9, 1, 0, 10, q, np.zeros(2), 0.5, 0.0, 1.0,
+            False, fresh_gen(0), landings,
         )
         assert steps == 10 and reached is False
         # Slot 0 loops back to state 0; slot 1 would have reached state 1.
@@ -198,11 +190,14 @@ class TestRolloutLoop:
         dest = np.array([1], dtype=np.int64)
         p = np.array([0.5])
         r = np.array([2.0])
+        q = np.array([0.25])
+        counts = np.array([7.0])
         landings = np.empty(50, dtype=np.int64)
         gen = fresh_gen(3)
         expected_draws = [fresh_gen(3).random() for _ in range(50)]
-        steps, total, reached = _greedy_rollout_loop(
-            offsets, dest, p, r, np.zeros(1), 0, 1, 50, gen, landings
+        steps, total, reached = _episode_loop(
+            offsets, dest, p, r, 0.9, 1, 0, 50, q, counts, 0.5, 0.0, 1.0,
+            False, gen, landings,
         )
         # Count of failures before the first success must match the raw
         # stream: the loop consumes exactly one uniform per step.
@@ -214,6 +209,13 @@ class TestRolloutLoop:
         assert steps == fails + 1
         assert reached is True
         assert total == 2.0
+        # Nothing is learned, and the stream moved by exactly steps uniforms.
+        assert q.tobytes() == np.array([0.25]).tobytes()
+        assert counts.tobytes() == np.array([7.0]).tobytes()
+        reference = fresh_gen(3)
+        for _ in range(steps):
+            reference.random()
+        assert gen.random() == reference.random()
 
 
 def _child_env(backend: str) -> dict[str, str]:

@@ -12,7 +12,7 @@ from conftest import DESK_PARAMS, make_mdp
 from cybermdp.graph import Protocol
 from cybermdp.mdp import ConvergenceError, build_cvss_mdp, value_iteration
 from cybermdp.netgen import ENTERPRISE_SCALE, TopologyParams, generate, plant_gauntlet
-from cybermdp._kernels import _q_episode_loop
+from cybermdp._kernels import _episode_loop
 from cybermdp.network import QNetwork
 from cybermdp.solver import (
     ALGORITHMS,
@@ -92,13 +92,13 @@ def one_update(q, reward, alpha, gamma, terminal):
     to state 1 and holds the bootstrap value; state 2 has no actions."""
 
     q = np.array(q, dtype=np.float64)
-    _q_episode_loop(
+    _episode_loop(
         np.array([0, 1, 2, 2], dtype=np.int64),
         np.array([1, 2], dtype=np.int64),
         np.array([1.0, 1.0]),
         np.array([reward, 0.0]),
-        gamma, terminal, q, np.zeros(2), alpha, 0.0, 0.0, 1, 0,
-        np.random.default_rng(0),
+        gamma, terminal, 0, 1, q, np.zeros(2), alpha, 0.0, 0.0, True,
+        np.random.default_rng(0), np.empty(0, dtype=np.int64),
     )
     return q[0]
 
