@@ -21,6 +21,13 @@ once its values go non-finite.  Either way the result is a
 :class:`TabularQ`: the trained network's values are read out into the same
 per-slot layout, so greedy evaluation runs through that same episode loop,
 with learning off, for both algorithms.
+
+The loop runs over what ``_kernels`` picks for the backend.  On the numpy
+fallback that is lists of the process's arrays and of the values, and a
+replay of the generator's raw PCG64 words in place of its scalar draws:
+one replay spans a whole tabular training run, one more each greedy
+rollout, and each settles its generator where numpy's own draws would
+have left it.  A Generator over another bit generator draws for itself.
 """
 
 from __future__ import annotations
@@ -206,9 +213,11 @@ def greedy_rollout(
     lowest index.
 
     One uniform draw per step decides success; the episode ends at the
-    terminal state, at ``max_steps``, or in a state with no actions.
-    Returns each step's landing state (where it was taken, for a failed
-    attempt), the total reward, and whether the terminal was reached.
+    terminal state, at ``max_steps``, or in a state with no actions, and
+    ``rng`` is left where those draws leave it.  Returns each step's
+    landing state (where it was taken, for a failed attempt), the total
+    reward, and whether the terminal was reached.  Raises ValueError when
+    ``max_steps`` landings do not fit in memory.
     """
 
     if max_steps < 1:
@@ -220,25 +229,35 @@ def greedy_rollout(
         raise ValueError(
             f"expected {mdp.num_action_slots} per-slot values, got shape {q_values.shape}"
         )
-    landings = np.empty(max_steps, dtype=np.int64)
+    try:
+        landings = np.empty(max_steps, dtype=np.int64)
+    except MemoryError:
+        raise ValueError(
+            f"max_steps {max_steps} is too large: no memory to record that many landings"
+        ) from None
+    offsets, dest, p, r, q = _kernels.loop_views(
+        mdp.action_offsets, mdp.action_dest, mdp.action_success, mdp.action_reward, q_values
+    )
+    draws, sync = _kernels.loop_draws(rng)
     steps, total, reached = _kernels.episode_kernel(
-        mdp.action_offsets,
-        mdp.action_dest,
-        mdp.action_success,
-        mdp.action_reward,
+        offsets,
+        dest,
+        p,
+        r,
         mdp.gamma,
         mdp.terminal_state,
         mdp.initial_state,
         max_steps,
-        q_values,
+        q,
         _NO_COUNTS,
         0.0,
         0.0,
         0.0,
         False,
-        rng,
+        draws,
         landings,
     )
+    sync()
     return landings[:steps], float(total), bool(reached)
 
 
@@ -250,15 +269,21 @@ def _network_slot_values(mdp: Mdp, net: QNetwork) -> np.ndarray:
 
 
 def _tabular_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Callable, Callable]:
-    q = np.zeros(mdp.num_action_slots, dtype=np.float64)
-    counts = np.zeros(mdp.num_action_slots, dtype=np.float64)
+    n = mdp.num_action_slots
+    offsets, dest, p, r, q, counts = _kernels.loop_views(
+        mdp.action_offsets, mdp.action_dest, mdp.action_success, mdp.action_reward,
+        np.zeros(n), np.zeros(n),
+    )
+    # One replay spans the run: a replay per episode would redraw and
+    # resettle the stream every few dozen steps.
+    draws, sync = _kernels.loop_draws(rng_train)
 
     def episode(epsilon: float) -> None:
         _kernels.episode_kernel(
-            mdp.action_offsets,
-            mdp.action_dest,
-            mdp.action_success,
-            mdp.action_reward,
+            offsets,
+            dest,
+            p,
+            r,
             mdp.gamma,
             mdp.terminal_state,
             mdp.initial_state,
@@ -269,11 +294,16 @@ def _tabular_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[C
             cfg.learning_rate_decay,
             epsilon,
             True,
-            rng_train,
+            draws,
             _NO_LANDINGS,
         )
 
-    return episode, lambda episodes_done: q
+    def slot_values(episodes_done: int) -> np.ndarray:
+        if episodes_done == cfg.episodes:
+            sync()  # training is over: settle the stream
+        return np.array(q, dtype=np.float64)
+
+    return episode, slot_values
 
 
 def _dqn_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Callable, Callable]:

@@ -379,6 +379,20 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["resolved_config"]["learning_rate"] == 0.01
 
+    def test_step_cap_too_large_to_record_exits_one(self, gauntlet_file, tmp_path, capsys):
+        # Training reaches the terminal within the cap; the first evaluation
+        # rollout has no room to record 1e11 landings (800 GB).
+        out = tmp_path / "run"
+        assert main([
+            "train", str(gauntlet_file), "--out", str(out),
+            "--episodes", "4", "--max-steps", "100000000000",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_steps 100000000000 is too large")
+        assert err.count("\n") == 1
+        assert (out / "FAILED").read_text(encoding="utf-8").startswith("ValueError:")
+        assert not (out / "manifest.json").exists()
+
     def test_state_mode_flag(self, gauntlet_file, tmp_path):
         out = tmp_path / "run"
         assert main([

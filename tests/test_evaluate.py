@@ -143,6 +143,31 @@ class TestRolloutGreedy:
         assert trace.reached_terminal is False
         assert trace.hops == 1
 
+    @pytest.mark.parametrize(
+        "bit_generator, visited, next_draw",
+        [
+            (np.random.Philox, "aaaabccccccccct", 0.1403724061942908),
+            (np.random.MT19937, "aaabbbbbbbbbbct", 0.32459404575992135),
+        ],
+    )
+    def test_other_bit_generators_draw_from_the_generator(
+        self, bit_generator, visited, next_draw
+    ):
+        # Only a PCG64 stream is replayed; any other Generator plays its own
+        # scalar draws, so these rollouts and the draw after them are the
+        # ones the loop always made.
+        mdp = make_mdp(
+            states=("a", "b", "c", "t"),
+            actions=[[(1, 0.3, 1.5)], [(2, 0.2, 2.25), (0, 1.0, 0.5)], [(3, 0.1, 100.0)], []],
+            gamma=0.9,
+        )
+        q = TabularQ(action_offsets=mdp.action_offsets, values=np.ones(mdp.num_action_slots))
+        rng = np.random.Generator(bit_generator(7))
+        trace = rollout_greedy(mdp, q, rng, max_steps=200)
+        assert "".join(trace.visited) == visited
+        assert (trace.total_reward, trace.reached_terminal) == (103.75, True)
+        assert rng.random() == next_draw
+
     def test_max_steps_validation(self, chain_graph):
         mdp = build_cvss_mdp(chain_graph)
         q = TabularQ(action_offsets=mdp.action_offsets,

@@ -3,7 +3,8 @@
 The numba and numpy backends must be bit-identical, not merely close: the
 same seeds must yield the same artifacts regardless of which backend built
 them.  These tests compare the compiled episode dispatcher against its pure
-Python twin, and value iteration's vectorized backup against the scalar
+Python twin, the numpy backend's lists and PCG64 replay against arrays and
+the Generator, and value iteration's vectorized backup against the scalar
 sweep in oracles.py.
 """
 
@@ -16,10 +17,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cybermdp import _kernels
 from conftest import make_mdp
-from cybermdp._kernels import _episode_loop
+from cybermdp._kernels import Pcg64Replay, _episode_loop
 from cybermdp.mdp import build_cvss_mdp, value_iteration
 from cybermdp.netgen import TopologyParams, generate
 from oracles import scalar_value_iteration
@@ -75,32 +78,118 @@ class TestVectorizedSweep:
         assert res.values[0] == pytest.approx(90.0 / 0.91, abs=1e-8)
 
 
+def play(kernel, mdp, learn, draws, views=lambda *arrays: arrays):
+    """20 episodes from the same starting values, episode ``e`` drawing
+    from ``draws(e)``; returns each episode's result and landings, then the
+    final q and counts."""
+
+    n = mdp.num_action_slots
+    offsets, dest, p, r, q, counts = views(
+        mdp.action_offsets, mdp.action_dest, mdp.action_success, mdp.action_reward,
+        np.arange(n, dtype=np.float64) % 7, np.zeros(n),
+    )
+    record = []
+    for episode in range(20):
+        landings = np.zeros(200, dtype=np.int64)
+        steps, total, reached = kernel(
+            offsets, dest, p, r, 0.9, mdp.terminal_state, mdp.initial_state,
+            200, q, counts, 0.3, 0.5, 0.4, learn, draws(episode), landings,
+        )
+        record.append((steps, float(total).hex(), reached, landings.tolist()))
+    return record, np.array(q).tobytes(), np.array(counts).tobytes()
+
+
 @needs_numba
 class TestNumbaEquivalence:
     @pytest.mark.parametrize("learn", [True, False])
     def test_dispatcher_matches_python(self, arrays, learn):
-        mdp = arrays
+        compiled = play(_kernels.episode_kernel, arrays, learn, fresh_gen)
+        python = play(_kernels.episode_kernel.py_func, arrays, learn, fresh_gen)
+        assert compiled == python
 
-        def play(kernel):
-            q = np.arange(mdp.num_action_slots, dtype=np.float64) % 7
-            counts = np.zeros(mdp.num_action_slots)
-            record = []
-            for episode in range(20):
-                landings = np.zeros(200, dtype=np.int64)
-                out = kernel(
-                    mdp.action_offsets, mdp.action_dest, mdp.action_success,
-                    mdp.action_reward, 0.9, mdp.terminal_state, mdp.initial_state,
-                    200, q, counts, 0.3, 0.5, 0.4, learn, fresh_gen(episode),
-                    landings,
-                )
-                record.append((out, landings.tolist()))
-            return record, q, counts
 
-        record_c, q_c, c_c = play(_kernels.episode_kernel)
-        record_p, q_p, c_p = play(_kernels.episode_kernel.py_func)
-        assert record_c == record_p
-        np.testing.assert_array_equal(q_c, q_p)
-        np.testing.assert_array_equal(c_c, c_p)
+def as_lists(*arrays):
+    return tuple(a.tolist() for a in arrays)
+
+
+class TestListsAndReplay:
+    """The numpy backend's loop inputs: lists and a replay of the PCG64
+    stream give what arrays and the Generator's own draws give."""
+
+    @pytest.mark.parametrize("learn", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_arrays_and_generator(self, learn, seed):
+        mdp = build_cvss_mdp(generate(TopologyParams(2, 4, 0.4, 2, 0.5, seed=seed)))
+        reference = fresh_gen(seed)
+        expected = play(_episode_loop, mdp, learn, lambda _: reference)
+        gen = fresh_gen(seed)
+        replay = Pcg64Replay(gen)
+        got = play(_episode_loop, mdp, learn, lambda _: replay, as_lists)
+        assert got == expected
+        replay.sync()
+        assert gen.bit_generator.state == reference.bit_generator.state
+        assert gen.random() == reference.random()
+
+
+# Ranges numpy draws differently: none (1), its half-word paths (small and
+# 2**31 + 1, which rejects almost half its draws), the largest Lemire range
+# (2**32 - 1), and the unmasked half-word (2**32).
+RANGES = st.sampled_from([1, 2, 3, 7, 1000, 2**31 + 1, 2**32 - 1, 2**32])
+DRAWS = st.lists(
+    st.one_of(
+        st.just("random"),
+        st.just("sync"),
+        st.tuples(st.integers(-5, 5), RANGES),
+    ),
+    # Long enough to cross the replay's first block boundaries (32, 96 and
+    # 224 words after a sync).
+    max_size=300,
+)
+
+
+class TestPcg64Replay:
+    """Pins the replay to numpy's streams: if numpy changes how it makes a
+    double or a bounded integer from PCG64's words, or how it buffers
+    half-words, these fail."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        buffered=st.none() | st.integers(0, 2**32 - 1),
+        draws=DRAWS,
+    )
+    def test_draws_and_state_match_the_generator(self, seed, buffered, draws):
+        reference, gen = fresh_gen(seed), fresh_gen(seed)
+        if buffered is not None:  # a half-word left over from an earlier draw
+            for g in (reference, gen):
+                state = g.bit_generator.state
+                state["has_uint32"], state["uinteger"] = 1, buffered
+                g.bit_generator.state = state
+        replay = Pcg64Replay(gen)
+        for draw in draws:
+            if draw == "random":
+                assert replay.random() == reference.random()
+            elif draw == "sync":
+                replay.sync()
+                assert gen.bit_generator.state == reference.bit_generator.state
+            else:
+                low, n = draw
+                assert replay.integers(low, low + n) == reference.integers(low, low + n)
+        replay.sync()
+        assert gen.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, -3, 2**32 + 1])
+    def test_rejects_ranges_it_cannot_replay(self, n):
+        with pytest.raises(ValueError, match="ranges of 1 to 2\\*\\*32"):
+            Pcg64Replay(fresh_gen(0)).integers(0, n)
+
+    def test_only_pcg64_generators_are_replayed(self):
+        pcg = fresh_gen(0)
+        draws, _ = _kernels.loop_draws(pcg)
+        assert isinstance(draws, Pcg64Replay) is (_kernels.BACKEND == "numpy")
+        for bit_generator in (np.random.Philox, np.random.MT19937, np.random.SFC64):
+            gen = np.random.Generator(bit_generator(0))
+            assert _kernels.loop_draws(gen)[0] is gen
 
 
 class TestEpisodeLoop:
