@@ -23,13 +23,12 @@ not importable) compiles the loop with ``@njit`` and runs it over the
 arrays with the caller's Generator; ``numpy`` runs it as plain Python over
 lists, which index about twice as fast as ndarrays, and, for a Generator
 over ``PCG64``, draws from a :class:`Pcg64Replay` of that generator's raw
-words instead of its scalar methods.  Other bit generators are passed
-through.  :func:`loop_views` and :func:`loop_draws` are that choice, made
-once here for every caller.  Both backends produce bit-identical results
-for the same seeds, because numba's Generator methods and the replay
-reproduce numpy's streams exactly; test_kernels.py compares the compiled
-dispatcher with its Python twin, and the list-and-replay run with the
-array-and-Generator run.
+words instead of its scalar methods.  Other bit generators draw for
+themselves.  :func:`loop_inputs` is that choice, made once here for every
+caller.  Both backends produce bit-identical results for the same seeds,
+because numba's Generator methods and the replay reproduce numpy's
+streams exactly; test_kernels.py compares the compiled dispatcher with its
+Python twin, and the list-and-replay run with the array-and-Generator run.
 """
 
 from __future__ import annotations
@@ -250,43 +249,30 @@ class Pcg64Replay:
         self._start(state)
 
 
-def _nothing() -> None:
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Backend binding
 # ---------------------------------------------------------------------------
 
-if BACKEND == "numba":
-    episode_kernel = njit(cache=True)(_episode_loop)
+episode_kernel = njit(cache=True)(_episode_loop) if HAS_NUMBA else _episode_loop
 
-    def loop_views(*arrays: np.ndarray) -> tuple:
-        """The sequences the loop indexes: the arrays themselves."""
 
-        return arrays
+def loop_inputs(
+    arrays: tuple[np.ndarray, ...], gen: np.random.Generator
+) -> tuple[tuple, object, Callable[[], None]]:
+    """What the loop runs over for this backend: ``(views, draws, sync)``.
 
-    def loop_draws(gen: np.random.Generator) -> tuple[object, Callable[[], None]]:
-        """What the loop draws from, and the call that settles ``gen``
-        afterwards: the Generator itself, which needs no settling."""
+    ``views`` are the sequences it indexes: the arrays themselves under
+    numba; on numpy a list copy of each, about twice as fast to index, so
+    what the loop writes lands in the list.  ``draws`` is what it draws
+    from: on numpy a :class:`Pcg64Replay` of a Generator over exactly
+    ``PCG64``, otherwise ``gen`` itself.  ``sync()`` settles ``gen`` where
+    numpy's own draws would have left it; it does nothing when ``gen``
+    drew for itself.
+    """
 
-        return gen, _nothing
-
-else:
-    episode_kernel = _episode_loop
-
-    def loop_views(*arrays: np.ndarray) -> tuple:
-        """The sequences the loop indexes: a list copy of each array, about
-        twice as fast to index; what the loop writes lands in the list."""
-
-        return tuple(a.tolist() for a in arrays)
-
-    def loop_draws(gen: np.random.Generator) -> tuple[object, Callable[[], None]]:
-        """What the loop draws from, and the call that settles ``gen``
-        afterwards: a replay and its sync for a PCG64 Generator, the
-        Generator itself for any other bit generator."""
-
-        if type(gen.bit_generator) is not np.random.PCG64:
-            return gen, _nothing
-        replay = Pcg64Replay(gen)
-        return replay, replay.sync
+    if not HAS_NUMBA:
+        arrays = tuple(a.tolist() for a in arrays)
+        if type(gen.bit_generator) is np.random.PCG64:
+            replay = Pcg64Replay(gen)
+            return arrays, replay, replay.sync
+    return arrays, gen, lambda: None

@@ -245,23 +245,30 @@ def _variant_document(v: VariantMetrics) -> dict[str, Any]:
     }
 
 
-def _write_manifest(
+def _json_text(doc: Any) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write_run(
     out_dir: Path,
     command: str,
     cfg: dict[str, Any],
     graph_path: str,
-    artifact_names: list[str],
+    files: dict[str, str],
 ) -> None:
+    """Write a run's files (name -> text), then a ``manifest.json`` that
+    hashes exactly those."""
+
+    for name, text in files.items():
+        _write_text(out_dir / name, text)
     manifest = {
         "command": command,
         "resolved_config": cfg,
         "graph": graph_path,
         "inputs": {graph_path: _sha256_file(Path(graph_path))},
-        "artifacts": {
-            name: _sha256_file(out_dir / name) for name in sorted(artifact_names)
-        },
+        "artifacts": {name: _sha256_file(out_dir / name) for name in sorted(files)},
     }
-    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_text(out_dir / "manifest.json", _json_text(manifest))
 
 
 def _path_dot(graph: AttackGraph, metrics: VariantMetrics) -> str:
@@ -289,6 +296,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    given = [f"--{f}" for f in ("preset", "config", "seed") if getattr(args, f) is not None]
+    if args.gauntlet is not None and given:
+        raise ValueError(f"--gauntlet builds one fixed graph and takes no {', '.join(given)}")
     if args.config is not None and args.preset is not None:
         raise ValueError("give either --preset or --config, not both")
     if args.config is not None:
@@ -383,17 +393,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         mdp = apply_terrain(base, graph, terrain_cfg)
         result = train(mdp, train_cfg)
         metrics = evaluate_variant(terrain_cfg.label(), mdp, train_cfg, result)
-        artifacts = ["curve.csv", "metrics.json", "path.dot"]
-        _write_text(out_dir / "curve.csv", _csv_text(_curve_rows(metrics.curve)))
-        _write_text(
-            out_dir / "metrics.json",
-            json.dumps(_variant_document(metrics), indent=2, sort_keys=True) + "\n",
-        )
-        _write_text(out_dir / "path.dot", _path_dot(graph, metrics))
+        files = {
+            "curve.csv": _csv_text(_curve_rows(metrics.curve)),
+            "metrics.json": _json_text(_variant_document(metrics)),
+            "path.dot": _path_dot(graph, metrics),
+        }
         if cfg["algorithm"] == "tabular":
-            artifacts.append("q.csv")
-            _write_text(out_dir / "q.csv", _csv_text(_q_table_rows(mdp, result.q)))
-        _write_manifest(out_dir, "train", cfg, args.graph, artifacts)
+            files["q.csv"] = _csv_text(_q_table_rows(mdp, result.q))
+        _write_run(out_dir, "train", cfg, args.graph, files)
         print(
             f"{metrics.name}: hops={metrics.hops} total_reward={metrics.total_reward:.3f} "
             f"reached={str(metrics.reached_terminal).lower()}"
@@ -423,26 +430,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     def body(out_dir: Path) -> int:
         report = compare_variants(graph, variants, train_cfg, gamma=cfg["gamma"])
         shown = report[: len(TerrainMode)]
-        artifacts = ["summary.csv", "metrics.json"]
-        _write_text(out_dir / "summary.csv", _csv_text(_summary_rows(shown)))
-        _write_text(
-            out_dir / "metrics.json",
-            json.dumps(
-                [_variant_document(v) for v in shown],
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-        )
-        for v in report:
-            curve_name = f"curve_{v.name}.csv"
-            _write_text(out_dir / curve_name, _csv_text(_curve_rows(v.curve)))
-            artifacts.append(curve_name)
-        for v in shown:
-            dot_name = f"path_{v.name}.dot"
-            _write_text(out_dir / dot_name, _path_dot(graph, v))
-            artifacts.append(dot_name)
-        _write_manifest(out_dir, "compare", cfg, args.graph, artifacts)
+        files = {
+            "summary.csv": _csv_text(_summary_rows(shown)),
+            "metrics.json": _json_text([_variant_document(v) for v in shown]),
+        }
+        files.update((f"curve_{v.name}.csv", _csv_text(_curve_rows(v.curve))) for v in report)
+        files.update((f"path_{v.name}.dot", _path_dot(graph, v)) for v in shown)
+        _write_run(out_dir, "compare", cfg, args.graph, files)
         for v in shown:
             print(
                 f"{v.name}: hops={v.hops} distinct={v.distinct_vertices} "

@@ -279,11 +279,6 @@ def plant_gauntlet(
     if not isinstance(params, TopologyParams):
         raise TypeError("params must be a TopologyParams")
     blocked = frozenset(blocked)
-    if not blocked:
-        raise ValueError("blocked must name at least one protocol")
-    for p in blocked:
-        if not isinstance(p, Protocol):
-            raise TypeError("blocked entries must be Protocol values")
 
     vertices: list[Vertex] = [
         Vertex(

@@ -26,8 +26,10 @@ The loop runs over what ``_kernels`` picks for the backend.  On the numpy
 fallback that is lists of the process's arrays and of the values, and a
 replay of the generator's raw PCG64 words in place of its scalar draws:
 one replay spans a whole tabular training run, one more each greedy
-rollout, and each settles its generator where numpy's own draws would
-have left it.  A Generator over another bit generator draws for itself.
+rollout.  A rollout settles its generator where numpy's own draws would
+have left it, because its caller may draw from it again; a training run
+does not, because nothing draws from its private stream afterwards.  A
+Generator over another bit generator draws for itself.
 """
 
 from __future__ import annotations
@@ -110,14 +112,16 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
+        # Not a field, so equality and repr ignore it and replace() redoes it.
+        span = self.epsilon_decay_episodes
+        if span is None:
+            span = max(1, int(round(0.8 * self.episodes)))
+        object.__setattr__(self, "_epsilon_span", span)
 
     def epsilon_at(self, episode: int) -> float:
         """Exploration rate for a 0-based episode index."""
 
-        span = self.epsilon_decay_episodes
-        if span is None:
-            span = max(1, int(round(0.8 * self.episodes)))
-        frac = min(1.0, episode / span)
+        frac = min(1.0, episode / self._epsilon_span)
         return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
 
 
@@ -235,10 +239,10 @@ def greedy_rollout(
         raise ValueError(
             f"max_steps {max_steps} is too large: no memory to record that many landings"
         ) from None
-    offsets, dest, p, r, q = _kernels.loop_views(
-        mdp.action_offsets, mdp.action_dest, mdp.action_success, mdp.action_reward, q_values
+    (offsets, dest, p, r, q), draws, sync = _kernels.loop_inputs(
+        (mdp.action_offsets, mdp.action_dest, mdp.action_success, mdp.action_reward, q_values),
+        rng,
     )
-    draws, sync = _kernels.loop_draws(rng)
     steps, total, reached = _kernels.episode_kernel(
         offsets,
         dest,
@@ -270,13 +274,13 @@ def _network_slot_values(mdp: Mdp, net: QNetwork) -> np.ndarray:
 
 def _tabular_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Callable, Callable]:
     n = mdp.num_action_slots
-    offsets, dest, p, r, q, counts = _kernels.loop_views(
-        mdp.action_offsets, mdp.action_dest, mdp.action_success, mdp.action_reward,
-        np.zeros(n), np.zeros(n),
+    # One replay spans the run and is never settled: nothing draws from
+    # rng_train once training is over.
+    (offsets, dest, p, r, q, counts), draws, _ = _kernels.loop_inputs(
+        (mdp.action_offsets, mdp.action_dest, mdp.action_success, mdp.action_reward,
+         np.zeros(n), np.zeros(n)),
+        rng_train,
     )
-    # One replay spans the run: a replay per episode would redraw and
-    # resettle the stream every few dozen steps.
-    draws, sync = _kernels.loop_draws(rng_train)
 
     def episode(epsilon: float) -> None:
         _kernels.episode_kernel(
@@ -299,8 +303,6 @@ def _tabular_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[C
         )
 
     def slot_values(episodes_done: int) -> np.ndarray:
-        if episodes_done == cfg.episodes:
-            sync()  # training is over: settle the stream
         return np.array(q, dtype=np.float64)
 
     return episode, slot_values

@@ -166,6 +166,20 @@ class TestGen:
     def test_gauntlet_bad_protocol_exit_one(self):
         assert main(["gen", "--gauntlet", "gopher"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--preset", "enterprise"], ["--config", "CONFIG"], ["--seed", "7"]],
+        ids=["preset", "config", "seed"],
+    )
+    def test_gauntlet_rejects_topology_flags(self, tmp_path, capsys, flags):
+        # The fixture is fixed; a flag that would change a generated graph
+        # must not be taken silently.
+        flags = [_json_file(tmp_path, SMALL_TOPOLOGY) if f == "CONFIG" else f for f in flags]
+        out = tmp_path / "net.json"
+        assert main(["gen", "--gauntlet", "ftp", *flags, "--out", str(out)]) == 1
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_changes_output(self, capsys):
         assert main(["gen", "--preset", "desk", "--seed", "1"]) == 0
         first = capsys.readouterr().out

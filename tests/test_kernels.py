@@ -184,12 +184,21 @@ class TestPcg64Replay:
             Pcg64Replay(fresh_gen(0)).integers(0, n)
 
     def test_only_pcg64_generators_are_replayed(self):
-        pcg = fresh_gen(0)
-        draws, _ = _kernels.loop_draws(pcg)
+        arrays = (np.arange(3, dtype=np.int64), np.linspace(0.0, 1.0, 4))
+        views, draws, _ = _kernels.loop_inputs(arrays, fresh_gen(0))
         assert isinstance(draws, Pcg64Replay) is (_kernels.BACKEND == "numpy")
+        if _kernels.BACKEND == "numpy":
+            assert all(type(v) is list for v in views)
+            assert views == tuple(a.tolist() for a in arrays)
+        else:
+            assert views is arrays
         for bit_generator in (np.random.Philox, np.random.MT19937, np.random.SFC64):
             gen = np.random.Generator(bit_generator(0))
-            assert _kernels.loop_draws(gen)[0] is gen
+            before = gen.bit_generator.state
+            _, draws, sync = _kernels.loop_inputs(arrays, gen)
+            assert draws is gen
+            sync()
+            np.testing.assert_equal(gen.bit_generator.state, before)
 
 
 class TestEpisodeLoop:

@@ -85,6 +85,20 @@ class TestTrainConfig:
         assert cfg.epsilon_at(80) == pytest.approx(0.0)
         assert cfg.epsilon_at(40) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("span", [None, 7])
+    def test_epsilon_follows_its_closed_form_after_replace(self, span):
+        # The span is worked out once per config; replace() must redo it.
+        cfg = config_with(episodes=30, epsilon_start=0.9, epsilon_end=0.1,
+                          epsilon_decay_episodes=span)
+        for episodes in (30, 101, 1):
+            cfg = dataclasses.replace(cfg, episodes=episodes)
+            decay = span if span is not None else max(1, int(round(0.8 * episodes)))
+            for e in range(episodes + 2):
+                assert cfg.epsilon_at(e) == 0.9 + (0.1 - 0.9) * min(1.0, e / decay)
+        assert cfg == config_with(episodes=1, epsilon_start=0.9, epsilon_end=0.1,
+                                  epsilon_decay_episodes=span)
+        assert "_epsilon_span" not in repr(cfg)
+
 
 def one_update(q, reward, alpha, gamma, terminal):
     """q after the first step of one greedy episode from state 0, whose one
