@@ -12,14 +12,7 @@ variants, protocol-restricted ones included, in one ``compare_variants``
 call, which returns one ``VariantMetrics`` per variant (:mod:`.evaluate`).
 """
 
-from .evaluate import (
-    EpisodeTrace,
-    VariantMetrics,
-    compare_variants,
-    evaluate_variant,
-    extract_path,
-    rollout_greedy,
-)
+from .evaluate import VariantMetrics, compare_variants, evaluate_variant, extract_path
 from .graph import (
     AttackGraph,
     Complexity,
@@ -55,10 +48,12 @@ from .netgen import ENTERPRISE_SCALE, TopologyParams, generate, plant_gauntlet
 from .network import QNetwork, sgd_step, td_loss_and_gradients
 from .solver import (
     ALGORITHMS,
+    EpisodeTrace,
     ReplayBuffer,
     TabularQ,
     TrainConfig,
     TrainResult,
+    rollout_greedy,
     train,
 )
 from .terrain import (

@@ -32,7 +32,8 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from enum import Enum
+from typing import Any, Sequence, TypeVar
 
 from .evaluate import VariantMetrics, compare_variants, evaluate_variant
 from .graph import (
@@ -146,13 +147,19 @@ def _curve_rows(curve: Sequence[tuple[int, float]]) -> list[list[str]]:
     return rows
 
 
-def _parse_protocol(token: str) -> Protocol:
+_E = TypeVar("_E", bound=Enum)
+
+
+def _parse_enum(enum: type[_E], token: str) -> _E:
+    """The member of ``enum`` named by ``token``, case and surrounding
+    whitespace ignored."""
+
     try:
-        return Protocol(token.strip().lower())
+        return enum(token.strip().lower())
     except ValueError:
         raise ValueError(
-            f"unknown protocol {token!r}; expected one of "
-            f"{[p.value for p in Protocol]}"
+            f"unknown {enum.__name__.lower()} {token!r}; expected one of "
+            f"{[m.value for m in enum]}"
         ) from None
 
 
@@ -197,7 +204,7 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
     if cfg["algorithm"] == "dqn" and "learning_rate" not in doc:
         cfg["learning_rate"] = DQN_LEARNING_RATE
     if cfg["protocol"] is not None:
-        cfg["protocol"] = _parse_protocol(cfg["protocol"]).value
+        cfg["protocol"] = _parse_enum(Protocol, cfg["protocol"]).value
     # build_cvss_mdp's own check, made before a run directory exists.
     if not 0.0 < cfg["gamma"] <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
@@ -212,7 +219,7 @@ def _terrain_config(cfg: dict[str, Any], mode: str | TerrainMode) -> TerrainConf
     """The terrain of one variant; strength and restriction come from cfg."""
 
     protocol = cfg["protocol"]
-    restrict = _parse_protocol(protocol) if protocol is not None else None
+    restrict = Protocol(protocol) if protocol is not None else None
     return TerrainConfig(mode=TerrainMode(mode), strength=cfg["w"], restrict=restrict)
 
 
@@ -309,7 +316,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.seed is not None:
         params = dataclasses.replace(params, seed=args.seed)
     if args.gauntlet is not None:
-        blocked = frozenset(_parse_protocol(t) for t in args.gauntlet.split(","))
+        blocked = frozenset(_parse_enum(Protocol, t) for t in args.gauntlet.split(","))
         graph = plant_gauntlet(params, blocked)
     else:
         graph = generate(params)
@@ -330,11 +337,11 @@ def _topology_from_document(doc: Any) -> TopologyParams:
     for key, value in kwargs.items():
         if key in defaults:  # an unknown key fails in TopologyParams below
             _check_type(key, value, defaults[key])
-    for key, parse in (("protocol_weights", _parse_protocol), ("complexity_weights", Complexity)):
+    for key, enum in (("protocol_weights", Protocol), ("complexity_weights", Complexity)):
         if key in kwargs:
             for weight in kwargs[key].values():
                 _check_type(key, weight, 0.0)
-            kwargs[key] = {parse(k): float(v) for k, v in kwargs[key].items()}
+            kwargs[key] = {_parse_enum(enum, k): float(v) for k, v in kwargs[key].items()}
     try:
         return TopologyParams(**kwargs)
     except TypeError as exc:

@@ -1,10 +1,11 @@
 """Greedy-policy evaluation, path extraction, and variant comparisons.
 
-The reporting layer: play trained policies greedily, collapse each played
-episode's visited states into an attack path for DOT highlighting, and run
-the matched-seed comparisons (vanilla, terrain-adjusted and
-protocol-restricted variants, all in one call) that show what a terrain
-adjustment actually changes.
+The reporting layer: play trained policies greedily with
+:func:`cybermdp.solver.rollout_greedy` (the one greedy rollout, which
+training curves also use), collapse each played episode's visited states
+into an attack path for DOT highlighting, and run the matched-seed
+comparisons (vanilla, terrain-adjusted and protocol-restricted variants,
+all in one call) that show what a terrain adjustment actually changes.
 A comparison is the tuple of its variants' :class:`VariantMetrics`; the
 CLI turns it into ``metrics.json`` and ``summary.csv``.
 Training happens in :func:`cybermdp.solver.train`; only
@@ -24,27 +25,12 @@ import numpy as np
 
 from .graph import AttackGraph
 from .mdp import Mdp, build_cvss_mdp
-from .solver import TabularQ, TrainConfig, TrainResult, greedy_rollout, train
+from .solver import TrainConfig, TrainResult, rollout_greedy, train
 from .terrain import TerrainConfig, apply_terrain
 
 # Fixed tags mixed into the seed so rollout streams are distinct from the
 # training streams but still fully determined by one configured seed.
 _ROLLOUT_STREAM_TAG = 0x5E11
-
-
-@dataclass(frozen=True)
-class EpisodeTrace:
-    """One played episode: the start state, then every step's landing (a
-    failed attempt lands where it was taken), or ``()`` if no step was
-    taken.  ``hops`` counts the actions taken, failures included."""
-
-    visited: tuple[str, ...]
-    total_reward: float
-    reached_terminal: bool
-
-    @property
-    def hops(self) -> int:
-        return max(len(self.visited) - 1, 0)
 
 
 def extract_path(visited: Sequence[str]) -> tuple[tuple[str, ...], bool]:
@@ -66,24 +52,6 @@ def extract_path(visited: Sequence[str]) -> tuple[tuple[str, ...], bool]:
             vertices.append(vid)
         previous = vid
     return tuple(vertices), revisited
-
-
-def rollout_greedy(
-    mdp: Mdp,
-    q: TabularQ,
-    rng: np.random.Generator,
-    max_steps: int = 2500,
-) -> EpisodeTrace:
-    """Play one episode greedily under ``q`` (see
-    :func:`cybermdp.solver.greedy_rollout`) and name its states."""
-
-    landings, total, reached = greedy_rollout(mdp, q.values, max_steps, rng)
-    visited = (mdp.initial_state, *landings.tolist()) if landings.size else ()
-    return EpisodeTrace(
-        visited=tuple(mdp.states[s] for s in visited),
-        total_reward=total,
-        reached_terminal=reached,
-    )
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,14 @@ An attack graph describes how an intruder can move through a network:
 directed edge means "from here the attacker can attempt that".  Each vertex
 carries a CVSS annotation (base score, exploitability score, attack
 complexity) describing how attractive and how hard the corresponding
-foothold is, and optionally a firewall annotation listing the protocols a
-perimeter device blocks on the way in.
+foothold is, ``DEFAULT_CVSS`` when none is given, and optionally a firewall
+annotation listing the protocols a perimeter device blocks on the way in.
 
 Graphs are exchanged as JSON documents with a fixed field order so that
 serialization is byte-deterministic and ``parse -> serialize -> parse`` is
-the identity.  The document schema (version ``"1"``):
+the identity.  Every vertex is written with its ``cvss``; a document that
+omits one parses to ``DEFAULT_CVSS`` with a :class:`GraphWarning`.  The
+document schema (version ``"1"``):
 
     {
       "version": "1",
@@ -138,7 +140,7 @@ class Vertex:
     id: str
     kind: VertexKind
     label: str = ""
-    cvss: CvssAnnotation | None = None
+    cvss: CvssAnnotation = DEFAULT_CVSS
     firewall: FirewallAnnotation | None = None
 
     def __post_init__(self) -> None:
@@ -146,6 +148,8 @@ class Vertex:
             raise ValueError("vertex id must be a nonempty string")
         if not isinstance(self.kind, VertexKind):
             raise TypeError("kind must be a VertexKind value")
+        if not isinstance(self.cvss, CvssAnnotation):
+            raise TypeError("cvss must be a CvssAnnotation")
 
 
 @dataclass(frozen=True)
@@ -237,16 +241,13 @@ def validate(graph: AttackGraph) -> list[str]:
             violations.append(f"self-edge on vertex {a!r} is not allowed")
 
     for v in graph.vertices:
-        if v.cvss is not None:
-            if not 0.0 <= v.cvss.base <= 10.0:
-                violations.append(
-                    f"vertex {v.id!r} base score {v.cvss.base} outside [0, 10]"
-                )
-            if not 0.0 <= v.cvss.exploitability <= 10.0:
-                violations.append(
-                    f"vertex {v.id!r} exploitability score "
-                    f"{v.cvss.exploitability} outside [0, 10]"
-                )
+        if not 0.0 <= v.cvss.base <= 10.0:
+            violations.append(f"vertex {v.id!r} base score {v.cvss.base} outside [0, 10]")
+        if not 0.0 <= v.cvss.exploitability <= 10.0:
+            violations.append(
+                f"vertex {v.id!r} exploitability score "
+                f"{v.cvss.exploitability} outside [0, 10]"
+            )
     # Reachability is only meaningful once the structural checks pass.
     if not violations and graph.terminal not in reachable_set(graph, graph.initial):
         violations.append(
@@ -458,12 +459,11 @@ def graph_to_document(graph: AttackGraph) -> dict[str, Any]:
     vertices_out: list[dict[str, Any]] = []
     for v in graph.vertices:
         entry: dict[str, Any] = {"id": v.id, "kind": v.kind.value, "label": v.label}
-        if v.cvss is not None:
-            entry["cvss"] = {
-                "base": v.cvss.base,
-                "exploitability": v.cvss.exploitability,
-                "complexity": v.cvss.complexity.value,
-            }
+        entry["cvss"] = {
+            "base": v.cvss.base,
+            "exploitability": v.cvss.exploitability,
+            "complexity": v.cvss.complexity.value,
+        }
         if v.firewall is not None:
             entry["firewall"] = {
                 "blocked": [p.value for p in v.firewall.blocked_in_order()]

@@ -32,7 +32,6 @@ from .graph import (
     AttackGraph,
     Complexity,
     CvssAnnotation,
-    DEFAULT_CVSS,
     Vertex,
     co_reachable_set,
     validate,
@@ -73,8 +72,6 @@ def base_reward(vertex: Vertex | CvssAnnotation) -> float:
     """Unscaled worth of capturing a vertex: base + exploitability / 10."""
 
     cvss = vertex.cvss if isinstance(vertex, Vertex) else vertex
-    if cvss is None:
-        raise ValueError(f"vertex {vertex.id!r} has no cvss annotation")
     return cvss.base + cvss.exploitability / 10.0
 
 
@@ -262,9 +259,7 @@ def build_cvss_mdp(graph: AttackGraph, gamma: float = 0.9) -> Mdp:
             return TERMINAL_REWARD
         if vid == graph.initial:
             return INITIAL_REWARD
-        vertex = graph.vertex(vid)
-        cvss = vertex.cvss if vertex.cvss is not None else DEFAULT_CVSS
-        scaled = base_reward(cvss) * (depths[vid] / terminal_depth)
+        scaled = base_reward(graph.vertex(vid)) * (depths[vid] / terminal_depth)
         return max(scaled, REWARD_FLOOR)
 
     offsets = [0]
@@ -274,10 +269,8 @@ def build_cvss_mdp(graph: AttackGraph, gamma: float = 0.9) -> Mdp:
     for sid in states:
         if sid != graph.terminal:
             for wid in graph.successors(sid):
-                target = graph.vertex(wid)
-                cvss = target.cvss if target.cvss is not None else DEFAULT_CVSS
                 dest.append(index[wid])
-                success.append(complexity_to_probability(cvss.complexity))
+                success.append(complexity_to_probability(graph.vertex(wid).cvss.complexity))
                 reward.append(arrival_reward(wid))
         offsets.append(len(dest))
 

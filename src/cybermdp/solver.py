@@ -19,8 +19,10 @@ replay (a ring buffer, so eviction is oldest-first), a hard-synced target
 copy, and vanilla SGD, and raises :class:`~cybermdp.mdp.ConvergenceError`
 once its values go non-finite.  Either way the result is a
 :class:`TabularQ`: the trained network's values are read out into the same
-per-slot layout, so greedy evaluation runs through that same episode loop,
-with learning off, for both algorithms.
+per-slot layout, and :func:`rollout_greedy` plays either one's greedy
+episode through that same episode loop, with learning off, as an
+:class:`EpisodeTrace` of named states.  Training curves and
+:mod:`cybermdp.evaluate` both use it.
 
 The loop runs over what ``_kernels`` picks for the backend.  On the numpy
 fallback that is lists of the process's arrays and of the values, and a
@@ -210,17 +212,29 @@ _NO_COUNTS = np.empty(0, dtype=np.float64)
 _NO_LANDINGS = np.empty(0, dtype=np.int64)
 
 
-def greedy_rollout(
-    mdp: Mdp, q_values: np.ndarray, max_steps: int, rng: np.random.Generator
-) -> tuple[np.ndarray, float, bool]:
-    """Play one episode greedily under per-slot ``q_values``, ties to the
-    lowest index.
+@dataclass(frozen=True)
+class EpisodeTrace:
+    """One played episode: the start state, then every step's landing (a
+    failed attempt lands where it was taken), or ``()`` if no step was
+    taken.  ``hops`` counts the actions taken, failures included."""
+
+    visited: tuple[str, ...]
+    total_reward: float
+    reached_terminal: bool
+
+    @property
+    def hops(self) -> int:
+        return max(len(self.visited) - 1, 0)
+
+
+def rollout_greedy(
+    mdp: Mdp, q: TabularQ, rng: np.random.Generator, max_steps: int = 2500
+) -> EpisodeTrace:
+    """Play one episode greedily under ``q``, ties to the lowest index.
 
     One uniform draw per step decides success; the episode ends at the
     terminal state, at ``max_steps``, or in a state with no actions, and
-    ``rng`` is left where those draws leave it.  Returns each step's
-    landing state (where it was taken, for a failed attempt), the total
-    reward, and whether the terminal was reached.  Raises ValueError when
+    ``rng`` is left where those draws leave it.  Raises ValueError when
     ``max_steps`` landings do not fit in memory.
     """
 
@@ -228,7 +242,7 @@ def greedy_rollout(
         raise ValueError("max_steps must be positive")
     # The compiled loop is typed for values it may write (it never does
     # here), which a frozen TabularQ's read-only array is not: copy that one.
-    q_values = np.require(q_values, dtype=np.float64, requirements="W")
+    q_values = np.require(q.values, dtype=np.float64, requirements="W")
     if q_values.shape != (mdp.num_action_slots,):
         raise ValueError(
             f"expected {mdp.num_action_slots} per-slot values, got shape {q_values.shape}"
@@ -239,7 +253,7 @@ def greedy_rollout(
         raise ValueError(
             f"max_steps {max_steps} is too large: no memory to record that many landings"
         ) from None
-    (offsets, dest, p, r, q), draws, sync = _kernels.loop_inputs(
+    (offsets, dest, p, r, q_values), draws, sync = _kernels.loop_inputs(
         (mdp.action_offsets, mdp.action_dest, mdp.action_success, mdp.action_reward, q_values),
         rng,
     )
@@ -252,7 +266,7 @@ def greedy_rollout(
         mdp.terminal_state,
         mdp.initial_state,
         max_steps,
-        q,
+        q_values,
         _NO_COUNTS,
         0.0,
         0.0,
@@ -262,7 +276,10 @@ def greedy_rollout(
         landings,
     )
     sync()
-    return landings[:steps], float(total), bool(reached)
+    visited = (mdp.initial_state, *landings[:steps].tolist()) if steps else ()
+    # Through a list: tuple() over a generator grows by reallocation, which
+    # raised peak RSS once every training evaluation named its states.
+    return EpisodeTrace(tuple([mdp.states[s] for s in visited]), float(total), bool(reached))
 
 
 def _network_slot_values(mdp: Mdp, net: QNetwork) -> np.ndarray:
@@ -310,7 +327,7 @@ def _tabular_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[C
 
 def _dqn_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Callable, Callable]:
     action_counts = np.diff(mdp.action_offsets)
-    max_actions = int(action_counts.max()) if action_counts.size else 1
+    max_actions = int(action_counts.max())
     net = QNetwork(
         num_states=mdp.num_states,
         num_actions=max_actions,
@@ -393,10 +410,9 @@ def train(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
     for e in range(cfg.episodes):
         episode(cfg.epsilon_at(e))
         if (e + 1) % cfg.eval_interval == 0:
-            _, total, _ = greedy_rollout(
-                mdp, slot_values(e + 1), cfg.max_steps_per_episode, rng_eval
-            )
-            curve.append((e + 1, total))
+            values = TabularQ(mdp.action_offsets, slot_values(e + 1))
+            trace = rollout_greedy(mdp, values, rng_eval, cfg.max_steps_per_episode)
+            curve.append((e + 1, trace.total_reward))
     q = slot_values(cfg.episodes)
     q.setflags(write=False)
     return TrainResult(

@@ -118,6 +118,21 @@ class TestGen:
             if v.firewall is not None:
                 assert v.firewall.blocked <= {Protocol.FTP, Protocol.SSH}
 
+    def test_weight_map_keys_are_case_insensitive(self, tmp_path, capsys):
+        doc = dict(SMALL_TOPOLOGY, complexity_weights={"LOW": 1.0}, protocol_weights={" SSH": 1.0})
+        assert main(["gen", "--config", _json_file(tmp_path, doc)]) == 0
+        graph = parse_attack_graph(capsys.readouterr().out)
+        for v in graph.vertices:
+            assert v.cvss.complexity.value == "low"
+            if v.firewall is not None:
+                assert v.firewall.blocked == {Protocol.SSH}
+
+    def test_unknown_complexity_weight_key_exit_one(self, tmp_path, capsys):
+        doc = dict(SMALL_TOPOLOGY, complexity_weights={"bogus": 1.0})
+        assert main(["gen", "--config", _json_file(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown complexity 'bogus'; expected one of ['low', 'medium', 'high']" in err
+
     def test_unknown_config_key_exit_one(self, tmp_path):
         doc = dict(SMALL_TOPOLOGY, bogus=1)
         assert main(["gen", "--config", _json_file(tmp_path, doc)]) == 1

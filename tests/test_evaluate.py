@@ -11,7 +11,6 @@ from conftest import make_mdp
 from oracles import policy_success_path
 from cybermdp.cli import _summary_rows
 from cybermdp.evaluate import (
-    EpisodeTrace,
     VariantMetrics,
     compare_variants,
     evaluate_variant,
@@ -20,7 +19,7 @@ from cybermdp.evaluate import (
 )
 from cybermdp.graph import PROTOCOL_ORDER, Protocol
 from cybermdp.mdp import build_cvss_mdp, value_iteration
-from cybermdp.solver import TabularQ, TrainConfig, train
+from cybermdp.solver import EpisodeTrace, TabularQ, TrainConfig, train
 from cybermdp.terrain import TerrainConfig, TerrainMode
 
 

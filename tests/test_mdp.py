@@ -14,6 +14,7 @@ from conftest import component, make_graph, make_mdp
 from cybermdp.graph import (
     AttackGraph,
     Complexity,
+    DEFAULT_CVSS,
     CvssAnnotation,
     Vertex,
     VertexKind,
@@ -102,10 +103,12 @@ class TestRewardModel:
             expected, abs=EXACT
         )
 
-    def test_base_reward_requires_annotation(self):
-        bare = Vertex(id="v", kind=VertexKind.COMPONENT, label="")
-        with pytest.raises(ValueError, match="'v'"):
-            base_reward(bare)
+    def test_unscored_vertex_carries_the_default_score(self):
+        bare = Vertex("v", VertexKind.COMPONENT)
+        assert bare.cvss == DEFAULT_CVSS
+        assert base_reward(bare) == 0.0
+        with pytest.raises(TypeError, match="cvss"):
+            Vertex("v", VertexKind.COMPONENT, cvss=None)
 
 
 class TestDfsDepths:
