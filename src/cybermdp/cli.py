@@ -10,13 +10,15 @@ Subcommands::
     cybermdp export-dot GRAPH --out FILE     render to Graphviz DOT
 
 Exit codes: 0 success, 1 domain violation (failed validation, bad
-parameters, non-convergence), 2 I/O or parse failure.  ``train`` and
-``compare`` write a ``manifest.json`` recording the resolved configuration
-and sha256 of every input and artifact; ``--config`` accepts either a plain
-configuration document or such a manifest, so a finished run can be
-reproduced byte-for-byte from its own manifest.  If a command with a
-directory output fails midway, a ``FAILED`` marker file with the error text
-is left next to the partial artifacts.
+parameters, non-convergence), 2 I/O or parse failure.  ``gen``, ``build``
+and ``export-dot`` print their document, or write it to ``--out``.
+``train`` and ``compare`` fill a run directory through ``_write_run``,
+which writes a ``manifest.json`` recording the resolved configuration, the
+sha256 of the graph bytes the run parsed and of every artifact; ``--config``
+accepts either a plain configuration document or such a manifest, so a
+finished run can be reproduced byte-for-byte from its own manifest.  If a
+run fails midway, a ``FAILED`` marker file with the error text is left next
+to the partial artifacts.
 
 The resolved configuration is a plain dict of ``TrainConfig``'s fields plus
 the keys of ``RUN_DEFAULTS``; each flag's ``dest`` is its key, and one
@@ -33,7 +35,7 @@ import json
 import sys
 from pathlib import Path
 from enum import Enum
-from typing import Any, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 from .evaluate import VariantMetrics, compare_variants, evaluate_variant
 from .graph import (
@@ -99,31 +101,29 @@ _NULLABLE_TYPES: dict[str, type] = {"protocol": str, "epsilon_decay_episodes": i
 # ---------------------------------------------------------------------------
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _sha256(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _load_graph(path: str) -> AttackGraph:
+def _load_graph(path: str) -> tuple[AttackGraph, str]:
     # Lenient parse: semantic problems are left for the caller to report.
-    return parse_attack_graph(_read_text(path), strict=False)
+    # The digest is of the very bytes parsed, for a run's manifest.
+    data = Path(path).read_bytes()
+    return parse_attack_graph(data.decode("utf-8"), strict=False), _sha256(data)
 
 
-def _load_valid_graph(path: str) -> AttackGraph:
-    graph = _load_graph(path)
+def _load_valid_graph(path: str) -> tuple[AttackGraph, str]:
+    graph, digest = _load_graph(path)
     violations = validate(graph)
     if violations:
         raise ValueError(
             f"graph {path} fails validation:\n  " + "\n  ".join(violations)
         )
-    return graph
+    return graph, digest
 
 
 def _load_json(path: str) -> Any:
-    return json.loads(_read_text(path))
-
-
-def _sha256_file(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -257,25 +257,59 @@ def _json_text(doc: Any) -> str:
 
 
 def _write_run(
-    out_dir: Path,
-    command: str,
+    args: argparse.Namespace,
     cfg: dict[str, Any],
-    graph_path: str,
-    files: dict[str, str],
-) -> None:
-    """Write a run's files (name -> text), then a ``manifest.json`` that
-    hashes exactly those."""
+    graph_digest: str,
+    run: Callable[[], tuple[dict[str, str], list[str]]],
+) -> int:
+    """Fill the run directory ``args.out`` with what ``run()`` returns.
 
-    for name, text in files.items():
-        _write_text(out_dir / name, text)
-    manifest = {
-        "command": command,
-        "resolved_config": cfg,
-        "graph": graph_path,
-        "inputs": {graph_path: _sha256_file(Path(graph_path))},
-        "artifacts": {name: _sha256_file(out_dir / name) for name in sorted(files)},
-    }
-    _write_text(out_dir / "manifest.json", _json_text(manifest))
+    ``run()`` gives the files (name -> text) and the lines to print.  The
+    files are written with a ``manifest.json`` that hashes exactly those;
+    on any error a ``FAILED`` marker with the error text is left next to
+    the partial artifacts, and on success a stale marker is removed before
+    the lines are printed.
+    """
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    failed = out_dir / "FAILED"
+    try:
+        files, lines = run()
+        for name, text in files.items():
+            _write_text(out_dir / name, text)
+        manifest = {
+            "command": args.command,
+            "resolved_config": cfg,
+            "graph": args.graph,
+            "inputs": {args.graph: graph_digest},
+            "artifacts": {
+                name: _sha256((out_dir / name).read_bytes()) for name in sorted(files)
+            },
+        }
+        _write_text(out_dir / "manifest.json", _json_text(manifest))
+    except BaseException as exc:
+        try:
+            failed.write_text(f"{type(exc).__name__}: {exc}\n", encoding="utf-8")
+        except OSError:
+            pass
+        raise
+    if failed.exists():  # stale marker from an earlier crashed run
+        failed.unlink()
+    for line in lines:
+        print(line)
+    return EXIT_OK
+
+
+def _emit(out: str | None, text: str, summary: str = "") -> int:
+    """Write ``text`` to stdout, or to the file ``out`` and say so."""
+
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        _write_text(Path(out), text)
+        print(f"wrote {out}{summary}")
+    return EXIT_OK
 
 
 def _path_dot(graph: AttackGraph, metrics: VariantMetrics) -> str:
@@ -292,7 +326,7 @@ def _path_dot(graph: AttackGraph, metrics: VariantMetrics) -> str:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph)
+    graph, _ = _load_graph(args.graph)
     violations = validate(graph)
     if violations:
         for line in violations:
@@ -320,13 +354,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         graph = plant_gauntlet(params, blocked)
     else:
         graph = generate(params)
-    text = serialize_attack_graph(graph)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(Path(args.out), text)
-        print(f"wrote {args.out}: {graph.vertex_count} vertices, {graph.edge_count} edges")
-    return EXIT_OK
+    summary = f": {graph.vertex_count} vertices, {graph.edge_count} edges"
+    return _emit(args.out, serialize_attack_graph(graph), summary)
 
 
 def _topology_from_document(doc: Any) -> TopologyParams:
@@ -349,36 +378,12 @@ def _topology_from_document(doc: Any) -> TopologyParams:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    graph = _load_valid_graph(args.graph)
+    graph, _ = _load_valid_graph(args.graph)
     cfg = _resolve_config(args)
     mdp = build_cvss_mdp(graph, gamma=cfg["gamma"])
     mdp = apply_terrain(mdp, graph, _terrain_config(cfg, args.mode or "vanilla"))
-    text = serialize_mdp(mdp)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(Path(args.out), text)
-        print(f"wrote {args.out}: {mdp.num_states} states, {mdp.num_action_slots} actions")
-    return EXIT_OK
-
-
-def _run_dir_command(args: argparse.Namespace, body) -> int:
-    """Run a directory-artifact command; leave a FAILED marker on error."""
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    failed = out_dir / "FAILED"
-    try:
-        code = body(out_dir)
-    except BaseException as exc:
-        try:
-            failed.write_text(f"{type(exc).__name__}: {exc}\n", encoding="utf-8")
-        except OSError:
-            pass
-        raise
-    if failed.exists():  # stale marker from an earlier crashed run
-        failed.unlink()
-    return code
+    summary = f": {mdp.num_states} states, {mdp.num_action_slots} actions"
+    return _emit(args.out, serialize_mdp(mdp), summary)
 
 
 def _q_table_rows(mdp, table) -> list[list[str]]:
@@ -391,13 +396,12 @@ def _q_table_rows(mdp, table) -> list[list[str]]:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    graph = _load_valid_graph(args.graph)
+    graph, graph_digest = _load_valid_graph(args.graph)
     terrain_cfg = _terrain_config(cfg, cfg["mode"])
     train_cfg = _train_config(cfg)
 
-    def body(out_dir: Path) -> int:
-        base = build_cvss_mdp(graph, gamma=cfg["gamma"])
-        mdp = apply_terrain(base, graph, terrain_cfg)
+    def run() -> tuple[dict[str, str], list[str]]:
+        mdp = apply_terrain(build_cvss_mdp(graph, gamma=cfg["gamma"]), graph, terrain_cfg)
         result = train(mdp, train_cfg)
         metrics = evaluate_variant(terrain_cfg.label(), mdp, train_cfg, result)
         files = {
@@ -407,19 +411,18 @@ def cmd_train(args: argparse.Namespace) -> int:
         }
         if cfg["algorithm"] == "tabular":
             files["q.csv"] = _csv_text(_q_table_rows(mdp, result.q))
-        _write_run(out_dir, "train", cfg, args.graph, files)
-        print(
+        line = (
             f"{metrics.name}: hops={metrics.hops} total_reward={metrics.total_reward:.3f} "
             f"reached={str(metrics.reached_terminal).lower()}"
         )
-        return EXIT_OK
+        return files, [line]
 
-    return _run_dir_command(args, body)
+    return _write_run(args, cfg, graph_digest, run)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    graph = _load_valid_graph(args.graph)
+    graph, graph_digest = _load_valid_graph(args.graph)
     train_cfg = _train_config(cfg)
     variants = [_terrain_config(cfg, mode) for mode in TerrainMode]
     if cfg["protocols"]:
@@ -434,7 +437,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # dropping the repeats keeps the headline three first.
     variants = list(dict.fromkeys(variants))
 
-    def body(out_dir: Path) -> int:
+    def run() -> tuple[dict[str, str], list[str]]:
         report = compare_variants(graph, variants, train_cfg, gamma=cfg["gamma"])
         shown = report[: len(TerrainMode)]
         files = {
@@ -443,29 +446,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
         }
         files.update((f"curve_{v.name}.csv", _csv_text(_curve_rows(v.curve))) for v in report)
         files.update((f"path_{v.name}.dot", _path_dot(graph, v)) for v in shown)
-        _write_run(out_dir, "compare", cfg, args.graph, files)
-        for v in shown:
-            print(
-                f"{v.name}: hops={v.hops} distinct={v.distinct_vertices} "
-                f"total_reward={v.total_reward:.3f} reached={str(v.reached_terminal).lower()}"
-            )
-        return EXIT_OK
+        lines = [
+            f"{v.name}: hops={v.hops} distinct={v.distinct_vertices} "
+            f"total_reward={v.total_reward:.3f} reached={str(v.reached_terminal).lower()}"
+            for v in shown
+        ]
+        return files, lines
 
-    return _run_dir_command(args, body)
+    return _write_run(args, cfg, graph_digest, run)
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph)
+    graph, _ = _load_graph(args.graph)
     highlight: list[str] = []
     if args.highlight:
         highlight = [t.strip() for t in args.highlight.split(",") if t.strip()]
-    text = export_dot(graph, highlight=highlight)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(Path(args.out), text)
-        print(f"wrote {args.out}")
-    return EXIT_OK
+    return _emit(args.out, export_dot(graph, highlight=highlight))
 
 
 # ---------------------------------------------------------------------------

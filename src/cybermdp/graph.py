@@ -377,7 +377,9 @@ def _parse_vertex(doc: Any, index: int) -> Vertex:
             f"vertex {vid!r} has no cvss annotation; "
             "defaulting to base 0, exploitability 0, complexity high",
             GraphWarning,
-            stacklevel=3,
+            # Past this function, parse_attack_graph's generator and
+            # parse_attack_graph itself: the warning names their caller.
+            stacklevel=4,
         )
     firewall = _parse_firewall(doc["firewall"], f"{where}.firewall") if "firewall" in doc else None
     return Vertex(

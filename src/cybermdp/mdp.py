@@ -198,18 +198,16 @@ class Mdp:
     # -- serialization --------------------------------------------------------
 
     def to_document(self) -> dict[str, Any]:
-        actions = []
-        for s in range(self.num_states):
-            lo, hi = int(self.action_offsets[s]), int(self.action_offsets[s + 1])
-            for k in range(lo, hi):
-                actions.append(
-                    {
-                        "from": self.states[s],
-                        "to": self.states[int(self.action_dest[k])],
-                        "success": float(self.action_success[k]),
-                        "reward": float(self.action_reward[k]),
-                    }
-                )
+        names = self.states
+        actions = [
+            {"from": names[s], "to": names[d], "success": p, "reward": r}
+            for s, d, p, r in zip(
+                self.slot_state.tolist(),
+                self.action_dest.tolist(),
+                self.action_success.tolist(),
+                self.action_reward.tolist(),
+            )
+        ]
         return {
             "gamma": float(self.gamma),
             "initial": self.states[self.initial_state],
@@ -264,22 +262,22 @@ def build_cvss_mdp(graph: AttackGraph, gamma: float = 0.9) -> Mdp:
 
     offsets = [0]
     dest: list[int] = []
-    success: list[float] = []
-    reward: list[float] = []
     for sid in states:
         if sid != graph.terminal:
-            for wid in graph.successors(sid):
-                dest.append(index[wid])
-                success.append(complexity_to_probability(graph.vertex(wid).cvss.complexity))
-                reward.append(arrival_reward(wid))
+            dest.extend(index[wid] for wid in graph.successors(sid))
         offsets.append(len(dest))
+    # Each state is scored once as a destination; every slot into it reads
+    # those scores, as apply_terrain does.
+    success = [complexity_to_probability(graph.vertex(sid).cvss.complexity) for sid in states]
+    reward = [arrival_reward(sid) for sid in states]
+    action_dest = np.array(dest, dtype=np.int64)
 
     return Mdp(
         states=states,
         action_offsets=np.array(offsets, dtype=np.int64),
-        action_dest=np.array(dest, dtype=np.int64),
-        action_success=np.array(success, dtype=np.float64),
-        action_reward=np.array(reward, dtype=np.float64),
+        action_dest=action_dest,
+        action_success=np.array(success, dtype=np.float64)[action_dest],
+        action_reward=np.array(reward, dtype=np.float64)[action_dest],
         gamma=gamma,
         initial_state=index[graph.initial],
         terminal_state=index[graph.terminal],

@@ -8,8 +8,8 @@ Every non-final subnet also feeds a small decoy loop with no way forward, so
 generated graphs contain genuine dead ends.
 
 Generation is deterministic: one seed, two purpose-split RNG streams (one
-for structure, one for CVSS/firewall annotations), so changing annotation
-draws can never reshape the topology and vice versa.
+for structure, one for CVSS/firewall annotations, drawn as each vertex is
+made), so annotation draws can never reshape the topology and vice versa.
 """
 
 from __future__ import annotations
@@ -159,17 +159,18 @@ def generate(params: TopologyParams) -> AttackGraph:
 
     vertices: list[Vertex] = []
     edges: list[tuple[str, str]] = []
-    firewall_slots: list[int] = []  # vertex indexes eligible for firewalls
+
+    def add_vertex(vid: str, kind: VertexKind, label: str) -> None:
+        # Called in declaration order, which is the annotation stream's order.
+        cvss = _sample_cvss(rng_annotation, params)
+        firewall = None
+        if kind is VertexKind.RULE and rng_annotation.random() < params.firewall_prob:
+            firewall = FirewallAnnotation(blocked=_sample_blocked(rng_annotation, params))
+        vertices.append(Vertex(id=vid, kind=kind, label=label, cvss=cvss, firewall=firewall))
 
     for k in range(s):
         for i in range(h):
-            vertices.append(
-                Vertex(
-                    id=host_ids[k][i],
-                    kind=VertexKind.COMPONENT,
-                    label=f"subnet {k} host {i}",
-                )
-            )
+            add_vertex(host_ids[k][i], VertexKind.COMPONENT, f"subnet {k} host {i}")
         # Chain keeps each subnet internally traversable front to back.
         for i in range(h - 1):
             edges.append((host_ids[k][i], host_ids[k][i + 1]))
@@ -189,14 +190,7 @@ def generate(params: TopologyParams) -> AttackGraph:
             # and the terminal stays reachable.
             for m in range(params.inter_edge_count):
                 rid = f"n{k}x{m}"
-                vertices.append(
-                    Vertex(
-                        id=rid,
-                        kind=VertexKind.RULE,
-                        label=f"traversal subnet {k} to {k + 1} (#{m})",
-                    )
-                )
-                firewall_slots.append(len(vertices) - 1)
+                add_vertex(rid, VertexKind.RULE, f"traversal subnet {k} to {k + 1} (#{m})")
                 if m == 0:
                     src = host_ids[k][h - 1]
                     dst = host_ids[k + 1][0]
@@ -211,32 +205,14 @@ def generate(params: TopologyParams) -> AttackGraph:
             # so it absorbs the walker without creating an action-less state.
             decoy_ids = [f"n{k}d0", f"n{k}d1"]
             for j, did in enumerate(decoy_ids):
-                vertices.append(
-                    Vertex(
-                        id=did,
-                        kind=VertexKind.COMPONENT,
-                        label=f"subnet {k} decoy {j}",
-                    )
-                )
+                add_vertex(did, VertexKind.COMPONENT, f"subnet {k} decoy {j}")
             feeder = host_ids[k][int(rng_structure.integers(0, h))]
             edges.append((feeder, decoy_ids[0]))
             edges.append((decoy_ids[0], decoy_ids[1]))
             edges.append((decoy_ids[1], decoy_ids[0]))
 
-    # Annotation pass, in vertex declaration order so the stream is stable.
-    eligible = set(firewall_slots)
-    annotated: list[Vertex] = []
-    for idx, v in enumerate(vertices):
-        cvss = _sample_cvss(rng_annotation, params)
-        firewall = None
-        if idx in eligible and rng_annotation.random() < params.firewall_prob:
-            firewall = FirewallAnnotation(blocked=_sample_blocked(rng_annotation, params))
-        annotated.append(
-            Vertex(id=v.id, kind=v.kind, label=v.label, cvss=cvss, firewall=firewall)
-        )
-
     return AttackGraph(
-        vertices=tuple(annotated),
+        vertices=tuple(vertices),
         edges=tuple(edges),
         initial=host_ids[0][0],
         terminal=host_ids[s - 1][h - 1],

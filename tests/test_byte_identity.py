@@ -5,7 +5,8 @@ The runs cover every artifact ``compare`` writes on the FTP gauntlet, the
 restriction (whose headline variants are also sweep entries), every file
 of a tabular and of a DQN ``train`` there, every file of a DQN ``train``
 on the ``desk`` preset, the documents ``build`` prints in reward and
-state mode, and the raw visit sequences of greedy rollouts on ``desk``
+state mode, the graphs ``gen`` prints for both presets and their compiled
+processes, and the raw visit sequences of greedy rollouts on ``desk``
 (whose stay-put order ``metrics.json`` only counts).  A refactor that
 claims to leave outputs unchanged must keep these digests; a change that
 alters results on purpose must update them and say why.  The runs happen
@@ -165,6 +166,25 @@ BUILD_GOLDEN = {
     ),
 }
 
+# What ``gen --preset P`` prints, and what ``build`` prints for that graph
+# with no flags and with ``--mode state --gamma 0.999``: a pin on the
+# generator at both preset scales and on the compiled process.
+GEN_BUILD_GOLDEN = {
+    "desk": {
+        "gen": "220d746e0ee90fa49b6f37108a82923ad35d573d1033883cb070b637364f6291",
+        "build": "0e5d50715e31122851d35924996c67051d3868b7552e961ccf42a8d66600b6e4",
+        "build state 0.999": (
+            "46fcf25b3a50bfa95371a38bbddb9640c75cec6ab3ccf5f736bcdeff0cb675c1"
+        ),
+    },
+    "enterprise": {
+        "gen": "cbd108bb3741b0d3151ae0200f18e4f464fc39552d260f91d9f3708a689c3d89",
+        "build": "e621b14899a743e056e825eb86fe4b88ae32f024608e0fb5b30e125826c0e5eb",
+        "build state 0.999": (
+            "eda5b991a1cf5dd6d4ef3719fec4f4fc1e1af9ff0503e3ae3dda734139c62e68"
+        ),
+    },
+}
 
 # 20 greedy rollouts (rng seeds 0-19, 200-step cap) on the state-mode
 # ``desk`` process under its exact action values: one line per rollout of
@@ -236,6 +256,26 @@ def test_build_document_is_byte_identical(gauntlet, capsys, flags):
     assert main(["build", gauntlet, *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BUILD_GOLDEN[flags]
+
+
+@pytest.mark.parametrize("preset", sorted(GEN_BUILD_GOLDEN))
+def test_gen_and_build_documents_are_byte_identical(tmp_path, monkeypatch, capsys, preset):
+    monkeypatch.chdir(tmp_path)
+
+    def stdout_digest(argv):
+        capsys.readouterr()
+        assert main(argv) == 0
+        return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+    assert main(["gen", "--preset", preset, "--out", "g.json"]) == 0
+    digests = {
+        "gen": stdout_digest(["gen", "--preset", preset]),
+        "build": stdout_digest(["build", "g.json"]),
+        "build state 0.999": stdout_digest(
+            ["build", "g.json", "--mode", "state", "--gamma", "0.999"]
+        ),
+    }
+    assert digests == GEN_BUILD_GOLDEN[preset]
 
 
 def test_rollout_visit_sequences_are_byte_identical():

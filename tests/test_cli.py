@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import math
 import tempfile
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cybermdp import cli
 from cybermdp.cli import main
 from cybermdp.graph import Protocol, parse_attack_graph, serialize_attack_graph
 from cybermdp.netgen import plant_gauntlet
@@ -60,6 +62,23 @@ def _json_file(tmp_path, doc, name="doc.json") -> str:
     return str(path)
 
 
+def _rewriting(graph_path, original):
+    """``original`` wrapped to rewrite the graph file before it runs, as an
+    edit made while a run is under way would."""
+
+    def call(*args, **kwargs):
+        graph_path.write_bytes(b" " + graph_path.read_bytes())
+        return original(*args, **kwargs)
+
+    return call
+
+
+def _input_digest(run_dir) -> str:
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    (digest,) = manifest["inputs"].values()
+    return digest
+
+
 class TestValidate:
     def test_clean_graph(self, graph_file, capsys):
         assert main(["validate", str(graph_file)]) == 0
@@ -94,6 +113,27 @@ class TestValidate:
 
     def test_wrong_document_shape_exit_two(self, tmp_path):
         assert main(["validate", _json_file(tmp_path, ["a", "list"])]) == 2
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("vertices", 0, "cvss"), 5, "vertices[0].cvss: cvss must be an object"),
+            (("vertices", 1, "firewall"), ["ftp"], "firewall must be an object"),
+            (("initial",), 1, "initial and terminal must be strings"),
+            (("terminal",), None, "initial and terminal must be strings"),
+            (("vertices",), {}, "vertices must be a list"),
+            (("edges",), "entry,target", "edges must be a list"),
+        ],
+    )
+    def test_mistyped_document_field_exit_two(self, tmp_path, capsys, path, value, message):
+        doc = copy.deepcopy(GAUNTLET_DOC)
+        *parents, key = path
+        node = doc
+        for step in parents:
+            node = node[step]
+        node[key] = value
+        assert main(["validate", _json_file(tmp_path, doc)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestGen:
@@ -136,6 +176,10 @@ class TestGen:
     def test_unknown_config_key_exit_one(self, tmp_path):
         doc = dict(SMALL_TOPOLOGY, bogus=1)
         assert main(["gen", "--config", _json_file(tmp_path, doc)]) == 1
+
+    def test_non_object_config_exit_two(self, tmp_path, capsys):
+        assert main(["gen", "--config", _json_file(tmp_path, [SMALL_TOPOLOGY])]) == 2
+        assert "topology config: expected an object" in capsys.readouterr().err
 
     def test_bad_param_value_exit_one(self, tmp_path):
         doc = dict(SMALL_TOPOLOGY, intra_edge_prob=2.0)
@@ -378,6 +422,34 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize(
+        "doc, code, message",
+        [
+            ([{"episodes": 4}], 2, "expected an object"),
+            ({"episodes": 4, "bogus": 1}, 1, "unknown config keys: ['bogus']"),
+        ],
+        ids=["non-object", "unknown-key"],
+    )
+    def test_bad_config_document_writes_nothing(
+        self, gauntlet_file, tmp_path, capsys, command, doc, code, message
+    ):
+        out = tmp_path / "run"
+        cfg = _json_file(tmp_path, doc, "cfg.json")
+        assert main([command, str(gauntlet_file), "--out", str(out), "--config", cfg]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_hashes_the_graph_bytes_trained_on(
+        self, gauntlet_file, tmp_path, monkeypatch
+    ):
+        original = gauntlet_file.read_bytes()
+        monkeypatch.setattr(cli, "train", _rewriting(gauntlet_file, cli.train))
+        out = tmp_path / "run"
+        assert main(["train", str(gauntlet_file), "--out", str(out), *FAST_TRAIN]) == 0
+        assert gauntlet_file.read_bytes() != original
+        assert _input_digest(out) == "sha256:" + hashlib.sha256(original).hexdigest()
+
     def test_protocol_is_case_insensitive(self, gauntlet_file, tmp_path):
         out = tmp_path / "run"
         assert main([
@@ -497,6 +569,17 @@ class TestCompare:
         first_files = {p.name: p.read_bytes() for p in first.iterdir()}
         second_files = {p.name: p.read_bytes() for p in second.iterdir()}
         assert first_files == second_files
+
+    def test_manifest_hashes_the_graph_bytes_compared_on(
+        self, gauntlet_file, tmp_path, monkeypatch
+    ):
+        original = gauntlet_file.read_bytes()
+        rewriting = _rewriting(gauntlet_file, cli.compare_variants)
+        monkeypatch.setattr(cli, "compare_variants", rewriting)
+        out = tmp_path / "cmp"
+        assert self.run_compare(gauntlet_file, out) == 0
+        assert gauntlet_file.read_bytes() != original
+        assert _input_digest(out) == "sha256:" + hashlib.sha256(original).hexdigest()
 
     def test_flags_override_config_file(self, gauntlet_file, tmp_path):
         cfg = _json_file(tmp_path, {"episodes": 40, "seed": 5}, "cfg.json")

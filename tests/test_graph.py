@@ -105,6 +105,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FirewallAnnotation(blocked=frozenset())
 
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: CvssAnnotation(1.0, 1.0, complexity="low"), "complexity"),
+            (lambda: FirewallAnnotation(blocked=frozenset({"ftp"})), "Protocol"),
+            (lambda: Vertex(id="", kind=VertexKind.COMPONENT), "nonempty"),
+            (lambda: Vertex(id=7, kind=VertexKind.COMPONENT), "nonempty"),
+            (lambda: Vertex(id="a", kind="component"), "VertexKind"),
+            (lambda: Vertex(id="a", kind=VertexKind.RULE, cvss=None), "CvssAnnotation"),
+        ],
+        ids=["complexity", "blocked", "empty-id", "int-id", "kind", "cvss"],
+    )
+    def test_mistyped_field_rejected(self, build, match):
+        with pytest.raises((TypeError, ValueError), match=match):
+            build()
+
     def test_blocked_in_order_is_canonical(self):
         fw = FirewallAnnotation(blocked=frozenset({Protocol.SSH, Protocol.FTP}))
         assert fw.blocked_in_order() == (Protocol.FTP, Protocol.SSH)
@@ -124,6 +140,22 @@ class TestValidate:
         violations = validate(g)
         assert len(violations) == 1
         assert "zz" in violations[0]
+
+    @pytest.mark.parametrize(
+        "vertices, terminal, message",
+        [
+            ((component("a"), component("b")), "zz", "terminal vertex 'zz' is not declared"),
+            (
+                (component("a", expl=10.5), component("b")),
+                "b",
+                "vertex 'a' exploitability score 10.5 outside [0, 10]",
+            ),
+        ],
+        ids=["undeclared-terminal", "exploitability-range"],
+    )
+    def test_violation_named(self, vertices, terminal, message):
+        g = make_graph(vertices=vertices, edges=(("a", "b"),), initial="a", terminal=terminal)
+        assert validate(g) == [message]
 
     def test_initial_equals_terminal(self):
         g = make_graph(
@@ -301,8 +333,10 @@ class TestParse:
     def test_missing_cvss_defaults_with_warning(self):
         doc = json.loads(json.dumps(MINIMAL_DOC))
         del doc["vertices"][1]["cvss"]
-        with pytest.warns(GraphWarning, match="'B'"):
+        with pytest.warns(GraphWarning, match="'B'") as record:
             g = parse_attack_graph(json.dumps(doc))
+        # The warning points at the code that asked for the parse.
+        assert [r.filename for r in record] == [__file__]
         assert g.vertex("B").cvss == DEFAULT_CVSS
         assert DEFAULT_CVSS.complexity is Complexity.HIGH
         assert DEFAULT_CVSS.base == 0.0 and DEFAULT_CVSS.exploitability == 0.0

@@ -325,6 +325,31 @@ class TestMdpInvariants:
                 terminal_state=1,
             )
 
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"action_offsets": [0, 2, 1, 2]}, "non-decreasing"),
+            ({"action_success": [0.9]}, "equal length"),
+            ({"action_reward": [1.0, 1.0, 1.0]}, "equal length"),
+            ({"initial_state": 3}, "out of range"),
+            ({"terminal_state": -1}, "out of range"),
+        ],
+    )
+    def test_rejects_inconsistent_fields(self, changes, match):
+        fields = dict(
+            states=("a", "b", "t"),
+            action_offsets=[0, 1, 2, 2],
+            action_dest=[1, 2],
+            action_success=[0.9, 0.9],
+            action_reward=[1.0, 1.0],
+            gamma=0.9,
+            initial_state=0,
+            terminal_state=2,
+        )
+        Mdp(**fields)
+        with pytest.raises(ValueError, match=match):
+            Mdp(**{**fields, **changes})
+
     def test_rejects_dest_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             make_mdp(states=("a", "b"), actions=[[(5, 0.9, 1.0)], []], gamma=0.9)

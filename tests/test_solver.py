@@ -12,6 +12,7 @@ from conftest import DESK_PARAMS, make_mdp
 from cybermdp.graph import Protocol
 from cybermdp.mdp import ConvergenceError, build_cvss_mdp, value_iteration
 from cybermdp.netgen import ENTERPRISE_SCALE, TopologyParams, generate, plant_gauntlet
+from cybermdp import solver
 from cybermdp._kernels import _episode_loop
 from cybermdp.network import QNetwork
 from cybermdp.solver import (
@@ -282,6 +283,19 @@ class TestTraining:
                           epsilon_start=0.0, epsilon_end=0.0)
         result = train(mdp, cfg)
         assert result.curve[-1][1] == 0.0
+
+    def test_dqn_episode_ends_in_an_actionless_state(self, monkeypatch):
+        # a's one action always lands on a sink that has no actions and is
+        # not the terminal: every episode is one step and one TD update.
+        calls = []
+        td = solver.td_loss_and_gradients
+        monkeypatch.setattr(
+            solver, "td_loss_and_gradients", lambda *args: calls.append(1) or td(*args)
+        )
+        mdp = make_mdp(states=("a", "sink", "t"), actions=[[(1, 1.0, 1.0)], [], []], gamma=0.9)
+        cfg = config_with(episodes=5, algorithm="dqn", hidden_layers=(4,), batch_size=1)
+        train(mdp, cfg)
+        assert len(calls) == 5
 
     def test_process_gamma_changes_learning(self):
         # The learners take the discount from the process alone.
