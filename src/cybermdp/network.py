@@ -1,10 +1,15 @@
 """Plain-numpy value network for the deep solver.
 
 One-hot state in, one linear output per action slot out, ReLU hidden
-layers, mean-squared one-step TD loss against a frozen target copy, vanilla
-SGD.  A one-hot input times the first weight matrix is that matrix's row,
-so the input is applied as a row lookup and never built.  Gradients are
-hand-derived and verified against central finite differences in the tests.
+layers, mean-squared one-step TD loss against a frozen target, vanilla SGD.
+A one-hot input times the first weight matrix is that matrix's row, so the
+input is applied as a row lookup and never built.  For the same reason the
+first weight matrix's gradient is nonzero only on the batch's states: it is
+returned, and applied, as those rows alone.  The frozen target may be any
+net; :meth:`QNetwork.value_table` freezes one as its table of action
+values, a net without hidden layers whose forward pass is a row gather.
+Gradients are hand-derived and verified against central finite differences
+in the tests.
 """
 
 from __future__ import annotations
@@ -49,10 +54,15 @@ class QNetwork:
         first is appended to it, for backprop.
         """
 
-        states = np.asarray(states, dtype=np.int64)
-        # Checked here because fancy indexing would wrap a negative index.
-        if states.size and not 0 <= states.min() <= states.max() < self.num_states:
-            raise IndexError("state index outside the state set")
+        # Checked here because indexing would wrap a negative index.  A
+        # plain int, one state per step, skips the array conversion.
+        if type(states) is int:
+            if not 0 <= states < self.num_states:
+                raise IndexError("state index outside the state set")
+        else:
+            states = np.asarray(states, dtype=np.int64)
+            if states.size and not 0 <= states.min() <= states.max() < self.num_states:
+                raise IndexError("state index outside the state set")
         # h is a fresh pre-activation array, so the ReLUs may work in place.
         h = self.weights[0][states] + self.biases[0]
         for w, b in zip(self.weights[1:], self.biases[1:]):
@@ -76,6 +86,18 @@ class QNetwork:
 
         return self.forward(np.arange(self.num_states))
 
+    def value_table(self) -> "QNetwork":
+        """A frozen copy of this net's action values: a net without hidden
+        layers whose one weight matrix is :meth:`q_table` and whose bias is
+        zero, so its forward pass is a row gather.
+
+        Its rows equal a batch forward pass of this net bit for bit as long
+        as a matrix product's row does not depend on how many rows are
+        multiplied.  No initialisation is drawn.
+        """
+
+        return QNetwork._of_layers([self.q_table()], [np.zeros(self.num_actions)])
+
     # -- parameter handling ---------------------------------------------------
 
     def parameters(self) -> list[np.ndarray]:
@@ -85,14 +107,22 @@ class QNetwork:
             out.append(b)
         return out
 
+    @classmethod
+    def _of_layers(cls, weights: list[np.ndarray], biases: list[np.ndarray]) -> "QNetwork":
+        """A net over the given layers, which it takes without copying."""
+
+        net = cls.__new__(cls)
+        net.num_states = weights[0].shape[0]
+        net.num_actions = weights[-1].shape[1]
+        net.hidden_sizes = tuple(w.shape[1] for w in weights[:-1])
+        net.weights = weights
+        net.biases = biases
+        return net
+
     def copy(self) -> "QNetwork":
-        clone = QNetwork.__new__(QNetwork)
-        clone.num_states = self.num_states
-        clone.num_actions = self.num_actions
-        clone.hidden_sizes = self.hidden_sizes
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
-        return clone
+        return QNetwork._of_layers(
+            [w.copy() for w in self.weights], [b.copy() for b in self.biases]
+        )
 
     def load_from(self, other: "QNetwork") -> None:
         """Hard sync: overwrite parameters with ``other``'s."""
@@ -113,14 +143,18 @@ def td_loss_and_gradients(
     done: np.ndarray,
     next_action_mask: np.ndarray,
     gamma: float,
-) -> tuple[float, list[np.ndarray]]:
+) -> tuple[float, list]:
     """Mean-squared one-step TD loss and its gradient w.r.t. net parameters.
 
     Targets are r + gamma * max over admissible next actions of the frozen
     target net (zeroed where done), so no gradient flows through them.
     ``next_action_mask`` is a (batch, num_actions) boolean of admissible
     actions in the next state; rows where done is set may be all False.
-    Gradients come back in parameters() order.
+    Gradients come back in parameters() order, the first weight matrix's as
+    ``(rows, row_grads)``: the batch's distinct states, ascending, and the
+    gradient of each of those rows (every other row's is zero).  Each row
+    sums its samples in batch order from 0.0, as ``np.add.at`` into a dense
+    zero matrix would, so scattering it gives that matrix bit for bit.
     """
 
     states = np.asarray(states, dtype=np.int64)
@@ -155,16 +189,35 @@ def td_loss_and_gradients(
         delta = (delta @ net.weights[i].T) * (inputs[i - 1] > 0.0)
     # The first layer saw one-hot rows: each sample's delta lands on the
     # weight row of its state.
-    grad_w0 = np.zeros_like(net.weights[0])
-    np.add.at(grad_w0, states, delta)
-    return loss, [grad_w0, delta.sum(axis=0), *grads]
+    return loss, [_row_sums(states, delta), delta.sum(axis=0), *grads]
 
 
-def sgd_step(net: QNetwork, grads: list[np.ndarray], learning_rate: float) -> None:
-    """In-place vanilla SGD update over parameters() order."""
+def _row_sums(states: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, sums)``: the distinct ``states``, ascending, and for each
+    the sum of its ``values`` rows, added in order from 0.0 exactly as
+    ``np.add.at`` into a dense zero matrix adds them."""
+
+    rows = np.unique(states)
+    width = values.shape[1]
+    # np.add.at over flat indices takes its fast one-dimensional path; it
+    # still adds in index order.
+    flat = (np.searchsorted(rows, states)[:, None] * width + np.arange(width)).ravel()
+    sums = np.zeros(rows.size * width)
+    np.add.at(sums, flat, values.ravel())
+    return rows, sums.reshape(rows.size, width)
+
+
+def sgd_step(net: QNetwork, grads: list, learning_rate: float) -> None:
+    """In-place vanilla SGD update over parameters() order, with the first
+    weight matrix's gradient row-sparse as :func:`td_loss_and_gradients`
+    returns it.  Only those rows change: subtracting ``learning_rate * 0.0``
+    from any other row would leave it as it is.
+    """
 
     params = net.parameters()
     if len(params) != len(grads):
         raise ValueError("gradient list does not match parameter list")
-    for p, g in zip(params, grads):
+    (rows, row_grads), *dense = grads
+    params[0][rows] -= learning_rate * row_grads
+    for p, g in zip(params[1:], dense):
         p -= learning_rate * g

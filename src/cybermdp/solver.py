@@ -15,9 +15,11 @@ only how to play one training episode and how to read out its per-slot
 action values.  ``tabular`` keeps one value per action slot and plays its
 training episodes in the episode loop of ``_kernels``; ``dqn`` trains the
 plain-numpy network from :mod:`cybermdp.network` with uniform experience
-replay (a ring buffer, so eviction is oldest-first), a hard-synced target
-copy, and vanilla SGD, and raises :class:`~cybermdp.mdp.ConvergenceError`
-once its values go non-finite.  Either way the result is a
+replay (a ring buffer, so eviction is oldest-first), a target frozen at
+each hard sync as the network's value table (a row gather per step) and
+row-sparse vanilla SGD (only the first-layer rows of the batch's states
+change); it raises :class:`~cybermdp.mdp.ConvergenceError` once its values
+go non-finite.  Either way the result is a
 :class:`TabularQ`: the trained network's values are read out into the same
 per-slot layout, and :func:`rollout_greedy` plays either one's greedy
 episode through that same episode loop, with learning off, as an
@@ -334,17 +336,26 @@ def _dqn_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Calla
         hidden_sizes=cfg.hidden_layers,
         rng=rng_init,
     )
-    target = net.copy()
+    # Frozen between hard syncs, the target is kept as its value table, so
+    # each step's target pass is a row gather.
+    target = net.value_table()
     replay = ReplayBuffer(cfg.replay_capacity)
     # (num_states, max_actions) admissibility mask, indexed by next state.
     mask = np.arange(max_actions)[None, :] < action_counts[:, None]
+    # Read per step, so as lists: a list item is cheaper to read than an
+    # array's, and holds the same value.
+    counts, offsets, success, dest, reward_of = (
+        a.tolist()
+        for a in (action_counts, mdp.action_offsets, mdp.action_success,
+                  mdp.action_dest, mdp.action_reward)
+    )
     steps_done = 0
 
     def episode(epsilon: float) -> None:
-        nonlocal steps_done
+        nonlocal steps_done, target
         s = mdp.initial_state
         for _ in range(cfg.max_steps_per_episode):
-            n_a = int(action_counts[s])
+            n_a = counts[s]
             if n_a == 0:
                 break
             # Epsilon-greedy; the network row is read only to exploit.
@@ -352,10 +363,10 @@ def _dqn_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Calla
                 a = int(rng_train.integers(0, n_a))
             else:
                 a = int(np.argmax(net.q_row(s)[:n_a]))
-            slot = int(mdp.action_offsets[s]) + a
-            if rng_train.random() < mdp.action_success[slot]:
-                s2 = int(mdp.action_dest[slot])
-                reward = float(mdp.action_reward[slot])
+            slot = offsets[s] + a
+            if rng_train.random() < success[slot]:
+                s2 = dest[slot]
+                reward = reward_of[slot]
             else:
                 s2 = s
                 reward = 0.0
@@ -379,7 +390,7 @@ def _dqn_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Calla
                 sgd_step(net, grads, cfg.learning_rate)
             steps_done += 1
             if steps_done % cfg.target_sync_interval == 0:
-                target.load_from(net)
+                target = net.value_table()
             s = s2
             if done:
                 break

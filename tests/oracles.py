@@ -307,6 +307,16 @@ def finite_difference_grads(
     return grads
 
 
+def dense_gradients(net: QNetwork, grads: list) -> list[np.ndarray]:
+    """``td_loss_and_gradients``'s gradients with the first weight matrix's
+    row-sparse ``(rows, row_grads)`` scattered into a dense zero matrix."""
+
+    (rows, row_grads), *rest = grads
+    grad_w0 = np.zeros_like(net.weights[0])
+    grad_w0[rows] = row_grads
+    return [grad_w0, *rest]
+
+
 def relative_gradient_error(
     analytic: list[np.ndarray], numeric: list[np.ndarray]
 ) -> float:

@@ -10,8 +10,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cybermdp.network import QNetwork, sgd_step, td_loss_and_gradients
-from oracles import finite_difference_grads, one_hot_forward, relative_gradient_error
+from cybermdp.mdp import build_cvss_mdp
+from cybermdp.netgen import ENTERPRISE_SCALE, generate
+from cybermdp.network import QNetwork, _row_sums, sgd_step, td_loss_and_gradients
+from oracles import (
+    dense_gradients,
+    finite_difference_grads,
+    one_hot_forward,
+    relative_gradient_error,
+)
 
 
 def random_batch(rng: np.random.Generator, net: QNetwork, batch: int):
@@ -41,6 +48,8 @@ class TestEncoding:
                 net.forward(bad)
         with pytest.raises(IndexError):
             net.q_row(-1)
+        with pytest.raises(IndexError):
+            net.q_row(net.num_states)
 
     def test_batch_encoding(self):
         rng = np.random.Generator(np.random.PCG64(10))
@@ -120,7 +129,7 @@ class TestTdLoss:
         numeric = finite_difference_grads(
             net, target, states, actions, rewards, next_states, done, mask, 0.9
         )
-        assert relative_gradient_error(grads, numeric) < 1e-4
+        assert relative_gradient_error(dense_gradients(net, grads), numeric) < 1e-4
 
     def test_gradient_check_without_hidden_layers(self):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -133,7 +142,7 @@ class TestTdLoss:
         numeric = finite_difference_grads(
             net, target, states, actions, rewards, next_states, done, mask, 0.95
         )
-        assert relative_gradient_error(grads, numeric) < 1e-4
+        assert relative_gradient_error(dense_gradients(net, grads), numeric) < 1e-4
 
     def test_terminal_transitions_ignore_bootstrap(self):
         net = QNetwork(3, 2, rng=np.random.Generator(np.random.PCG64(9)))
@@ -199,7 +208,7 @@ class TestTdLoss:
             0.5,
         )
         assert loss == pytest.approx(0.0, abs=1e-18)
-        for g in grads:
+        for g in dense_gradients(net, grads):
             np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_empty_batch_rejected(self):
@@ -228,6 +237,7 @@ class TestSgd:
         net = QNetwork(3, 2)
         w0 = net.weights[0]
         grads = [np.ones_like(p) for p in net.parameters()]
+        grads[0] = (np.arange(net.num_states), grads[0])
         sgd_step(net, grads, learning_rate=0.5)
         assert net.weights[0] is w0
 
@@ -235,3 +245,73 @@ class TestSgd:
         net = QNetwork(3, 2)
         with pytest.raises(ValueError, match="match"):
             sgd_step(net, [np.zeros(1)], learning_rate=0.1)
+
+
+def bits(a: np.ndarray) -> bytes:
+    """An array's exact bits, so that 0.0 and -0.0 differ."""
+
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestRowSparse:
+    """The first weight matrix's gradient kept as the batch's rows alone."""
+
+    def test_row_sums_scatter_to_dense_add_at(self):
+        rng = np.random.Generator(np.random.PCG64(16))
+        for _ in range(50):
+            num_states = int(rng.integers(1, 40))
+            # 32 draws over at most 40 states: repeats in almost every batch.
+            states = rng.integers(0, num_states, size=32)
+            values = rng.normal(size=(32, int(rng.integers(1, 9))))
+            rows, sums = _row_sums(states, values)
+            np.testing.assert_array_equal(rows, np.unique(states))
+            dense = np.zeros((num_states, values.shape[1]))
+            np.add.at(dense, states, values)
+            scattered = np.zeros_like(dense)
+            scattered[rows] = sums
+            assert bits(scattered) == bits(dense)
+
+    def test_sparse_step_equals_dense_step(self):
+        rng = np.random.Generator(np.random.PCG64(17))
+        for hidden in HIDDEN_SHAPES:
+            net = QNetwork(40, 4, hidden_sizes=hidden, rng=rng)
+            _, actions, rewards, next_states, done, mask = random_batch(rng, net, 32)
+            # Ten of the forty states: rows repeat, and most rows stay untouched.
+            states = rng.integers(0, 10, size=32)
+            _, grads = td_loss_and_gradients(
+                net, net.copy(), states, actions, rewards, next_states, done, mask, 0.9
+            )
+            dense = net.copy()
+            for p, g in zip(dense.parameters(), dense_gradients(net, grads)):
+                p -= 0.01 * g
+            sgd_step(net, grads, learning_rate=0.01)
+            for mine, theirs in zip(net.parameters(), dense.parameters()):
+                assert bits(mine) == bits(theirs)
+
+
+def test_value_table_target_equals_deep_copy():
+    mdp = build_cvss_mdp(generate(ENTERPRISE_SCALE))
+    counts = np.diff(mdp.action_offsets)
+    rng = np.random.Generator(np.random.PCG64(18))
+    for hidden in ((64, 64), (16,), ()):
+        net = QNetwork(mdp.num_states, int(counts.max()), hidden, rng=rng)
+        table, deep = net.value_table(), net.copy()
+        assert table.hidden_sizes == () and not table.biases[0].any()
+        for batch in (1, 2, 32, 100):
+            states = rng.integers(0, mdp.num_states, size=batch)
+            actions = rng.integers(0, net.num_actions, size=batch)
+            rewards = rng.normal(0.0, 5.0, size=batch)
+            next_states = rng.integers(0, mdp.num_states, size=batch)
+            done = rng.random(batch) < 0.25
+            mask = np.arange(net.num_actions) < counts[next_states, None]
+            args = (states, actions, rewards, next_states, done, mask, mdp.gamma)
+            loss_t, grads_t = td_loss_and_gradients(net, table, *args)
+            loss_d, grads_d = td_loss_and_gradients(net, deep, *args)
+            assumption = (
+                "the value-table target differs from a deep target copy: this BLAS "
+                "gives a matrix product row that depends on how many rows are multiplied "
+                f"(hidden {hidden}, batch {batch})"
+            )
+            assert bits(np.float64(loss_t)) == bits(np.float64(loss_d)), assumption
+            for g_t, g_d in zip(dense_gradients(net, grads_t), dense_gradients(net, grads_d)):
+                assert bits(g_t) == bits(g_d), assumption
