@@ -205,7 +205,7 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
         cfg["learning_rate"] = DQN_LEARNING_RATE
     if cfg["protocol"] is not None:
         cfg["protocol"] = _parse_enum(Protocol, cfg["protocol"]).value
-    # build_cvss_mdp's own check, made before a run directory exists.
+    # The Mdp's own check, made before a run directory exists.
     if not 0.0 < cfg["gamma"] <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
     return cfg

@@ -43,6 +43,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 
@@ -213,49 +214,55 @@ class AttackGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        # The graph is immutable, so validate() finds its violations once.
+        violations: list[str] = []
+        ids = {v.id for v in self.vertices}
+
+        if self.initial not in ids:
+            violations.append(f"initial vertex {self.initial!r} is not declared")
+        if self.terminal not in ids:
+            violations.append(f"terminal vertex {self.terminal!r} is not declared")
+        if self.initial == self.terminal:
+            violations.append("initial and terminal vertices must differ")
+
+        for a, b in self.edges:
+            if a not in ids:
+                violations.append(f"edge ({a!r}, {b!r}) references undeclared source {a!r}")
+            if b not in ids:
+                violations.append(f"edge ({a!r}, {b!r}) references undeclared target {b!r}")
+            if a == b:
+                violations.append(f"self-edge on vertex {a!r} is not allowed")
+
+        for v in self.vertices:
+            if not 0.0 <= v.cvss.base <= 10.0:
+                violations.append(f"vertex {v.id!r} base score {v.cvss.base} outside [0, 10]")
+            if not 0.0 <= v.cvss.exploitability <= 10.0:
+                violations.append(
+                    f"vertex {v.id!r} exploitability score "
+                    f"{v.cvss.exploitability} outside [0, 10]"
+                )
+        # Reachability is only meaningful once the structural checks pass.
+        if not violations and self.terminal not in reachable_set(self, self.initial):
+            violations.append(
+                f"terminal vertex {self.terminal!r} is unreachable from "
+                f"initial vertex {self.initial!r}"
+            )
+
+        return tuple(violations)
+
 
 def validate(graph: AttackGraph) -> list[str]:
     """Check every graph invariant and return the violations found.
 
     Returns an empty list for a well-formed graph.  Each violation is a
     single human-readable sentence naming the offending vertex or edge, so
-    callers can print the list directly.
+    callers can print the list directly.  A graph is checked once; each
+    call returns a fresh list.
     """
 
-    violations: list[str] = []
-    ids = {v.id for v in graph.vertices}
-
-    if graph.initial not in ids:
-        violations.append(f"initial vertex {graph.initial!r} is not declared")
-    if graph.terminal not in ids:
-        violations.append(f"terminal vertex {graph.terminal!r} is not declared")
-    if graph.initial == graph.terminal:
-        violations.append("initial and terminal vertices must differ")
-
-    for a, b in graph.edges:
-        if a not in ids:
-            violations.append(f"edge ({a!r}, {b!r}) references undeclared source {a!r}")
-        if b not in ids:
-            violations.append(f"edge ({a!r}, {b!r}) references undeclared target {b!r}")
-        if a == b:
-            violations.append(f"self-edge on vertex {a!r} is not allowed")
-
-    for v in graph.vertices:
-        if not 0.0 <= v.cvss.base <= 10.0:
-            violations.append(f"vertex {v.id!r} base score {v.cvss.base} outside [0, 10]")
-        if not 0.0 <= v.cvss.exploitability <= 10.0:
-            violations.append(
-                f"vertex {v.id!r} exploitability score "
-                f"{v.cvss.exploitability} outside [0, 10]"
-            )
-    # Reachability is only meaningful once the structural checks pass.
-    if not violations and graph.terminal not in reachable_set(graph, graph.initial):
-        violations.append(
-            f"terminal vertex {graph.terminal!r} is unreachable from "
-            f"initial vertex {graph.initial!r}"
-        )
-
-    return violations
+    return list(graph._violations)
 
 
 def _closure(start: str, neighbours: Callable[[str], Iterable[str]]) -> frozenset[str]:

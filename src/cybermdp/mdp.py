@@ -17,7 +17,9 @@ cannot reach the terminal at all pays exactly -1.
 
 ``value_iteration`` solves the compiled process exactly and is the oracle
 the learning agents are measured against; ``slot_values`` is the one
-action-value backup it, the policy extraction and ``action_values`` share.
+action-value backup it, the policy extraction and ``action_values`` share,
+and ``state_values`` the one greedy state value (a state's best slot), which
+it and the DQN learner's frozen target share.
 """
 
 from __future__ import annotations
@@ -117,7 +119,9 @@ class Mdp:
     process: "vanilla", "reward", or "state"; ``terrain_strength`` and
     ``terrain_restrict`` record the adjustment's parameters.
 
-    ``slot_state[k]``, the state that owns slot k, is derived once here.
+    ``slot_state[k]``, the state that owns slot k, ``live_states``, the
+    states that own slots, and ``live_starts``, their first slots, are
+    derived once here.
     """
 
     states: tuple[str, ...]
@@ -133,6 +137,8 @@ class Mdp:
     terrain_restrict: str | None = None
 
     slot_state: np.ndarray = field(init=False, repr=False)
+    live_states: np.ndarray = field(init=False, repr=False)
+    live_starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         states = tuple(self.states)
@@ -169,7 +175,12 @@ class Mdp:
             raise ValueError("the terminal state must have no actions")
 
         slot_state = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-        for arr in (offsets, dest, success, reward, slot_state):
+        # reduceat segments must start at the true offsets of states that own
+        # slots; clamping every offset instead would fold a trailing
+        # actionless state's start back into the previous state's segment.
+        live_states = np.flatnonzero(np.diff(offsets))
+        live_starts = offsets[live_states]
+        for arr in (offsets, dest, success, reward, slot_state, live_states, live_starts):
             arr.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "action_offsets", offsets)
@@ -177,6 +188,8 @@ class Mdp:
         object.__setattr__(self, "action_success", success)
         object.__setattr__(self, "action_reward", reward)
         object.__setattr__(self, "slot_state", slot_state)
+        object.__setattr__(self, "live_states", live_states)
+        object.__setattr__(self, "live_starts", live_starts)
         object.__setattr__(self, "gamma", float(self.gamma))
 
     # -- indexing helpers ---------------------------------------------------
@@ -190,10 +203,12 @@ class Mdp:
         return int(self.action_dest.shape[0])
 
     def vertex_id(self, state: int) -> str:
+        state_slots(self.action_offsets, state)  # for its bounds check
         return self.states[state]
 
     def num_actions(self, state: int) -> int:
-        return int(self.action_offsets[state + 1] - self.action_offsets[state])
+        slots = state_slots(self.action_offsets, state)
+        return slots.stop - slots.start
 
     # -- serialization --------------------------------------------------------
 
@@ -222,6 +237,18 @@ class Mdp:
         }
 
 
+def state_slots(action_offsets: np.ndarray, state: int) -> slice:
+    """The slot range of ``state`` in the segmentation ``action_offsets``.
+
+    Raises IndexError for a state outside it, which indexing alone would
+    not do for a negative one.
+    """
+
+    if not 0 <= state < len(action_offsets) - 1:
+        raise IndexError(f"state index {state} outside the state set")
+    return slice(int(action_offsets[state]), int(action_offsets[state + 1]))
+
+
 def serialize_mdp(mdp: Mdp) -> str:
     """Canonical JSON dump of the full process; byte-deterministic."""
 
@@ -233,7 +260,7 @@ def build_cvss_mdp(graph: AttackGraph, gamma: float = 0.9) -> Mdp:
 
     Raises ValueError if the graph has validation violations (an
     unreachable terminal vertex is one: no depth scale exists then) or if
-    gamma is outside (0, 1].
+    gamma is outside (0, 1], which the :class:`Mdp` checks.
     """
 
     violations = validate(graph)
@@ -241,8 +268,6 @@ def build_cvss_mdp(graph: AttackGraph, gamma: float = 0.9) -> Mdp:
         raise ValueError(
             "graph fails validation: " + "; ".join(violations)
         )
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
 
     can_finish = co_reachable_set(graph, graph.terminal)
     depths = dfs_depths(graph)  # keyed by exactly the reachable vertices
@@ -320,8 +345,21 @@ def slot_values(mdp: Mdp, values: np.ndarray, slots: slice = slice(None)) -> np.
 def action_values(mdp: Mdp, values: np.ndarray, state: int) -> np.ndarray:
     """Action values of one state under fixed state values."""
 
-    lo, hi = mdp.action_offsets[state], mdp.action_offsets[state + 1]
-    return slot_values(mdp, values, slice(lo, hi))
+    return slot_values(mdp, values, state_slots(mdp.action_offsets, state))
+
+
+def state_values(mdp: Mdp, slot_q: np.ndarray) -> np.ndarray:
+    """Each state's greedy value under per-slot action values ``slot_q``:
+    the max over its slots, 0.0 for a state without any.
+
+    Value iteration's backup and the DQN learner's frozen target both read
+    their states' values here.
+    """
+
+    best = np.zeros(mdp.num_states, dtype=np.float64)
+    if slot_q.size:
+        best[mdp.live_states] = np.maximum.reduceat(slot_q, mdp.live_starts)
+    return best
 
 
 def value_iteration(mdp: Mdp, tol: float = 1e-8, max_iters: int = 100_000) -> ValueResult:
@@ -343,18 +381,10 @@ def value_iteration(mdp: Mdp, tol: float = 1e-8, max_iters: int = 100_000) -> Va
         raise ValueError("max_iters must be at least 1")
 
     n = mdp.num_states
-    live = np.diff(mdp.action_offsets) > 0
-    # reduceat segments must start at the true offsets of states that own
-    # slots; clamping every offset instead would fold a trailing actionless
-    # state's start back into the previous state's segment and truncate it.
-    starts = mdp.action_offsets[:-1][live]
 
     def backup(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q = slot_values(mdp, values)
-        best = np.zeros(n, dtype=np.float64)
-        if q.size:
-            best[live] = np.maximum.reduceat(q, starts)
-        return q, best
+        return q, state_values(mdp, q)
 
     values = np.zeros(n, dtype=np.float64)
     residual = np.inf
@@ -387,5 +417,6 @@ def value_iteration(mdp: Mdp, tol: float = 1e-8, max_iters: int = 100_000) -> Va
         # The first slot of each segment that attains the segment's max.
         slot = np.arange(q.size)
         hits = np.where(q == best[mdp.slot_state], slot, q.size)
-        policy[live] = np.minimum.reduceat(hits, starts) - starts
+        starts = mdp.live_starts
+        policy[mdp.live_states] = np.minimum.reduceat(hits, starts) - starts
     return ValueResult(values=values, policy=policy, iterations=iterations, residual=check)

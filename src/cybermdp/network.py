@@ -1,13 +1,13 @@
 """Plain-numpy value network for the deep solver.
 
 One-hot state in, one linear output per action slot out, ReLU hidden
-layers, mean-squared one-step TD loss against a frozen target, vanilla SGD.
-A one-hot input times the first weight matrix is that matrix's row, so the
-input is applied as a row lookup and never built.  For the same reason the
-first weight matrix's gradient is nonzero only on the batch's states: it is
-returned, and applied, as those rows alone.  The frozen target may be any
-net; :meth:`QNetwork.value_table` freezes one as its table of action
-values, a net without hidden layers whose forward pass is a row gather.
+layers, mean-squared one-step TD loss against frozen next-state values,
+vanilla SGD.  A one-hot input times the first weight matrix is that
+matrix's row, so the input is applied as a row lookup and never built.
+For the same reason the first weight matrix's gradient is nonzero only on
+the batch's states: it is returned, and applied, as those rows alone.  The
+loss takes the bootstrap as one value per state, already maximised over
+that state's admissible actions; the learner freezes it at each hard sync.
 Gradients are hand-derived and verified against central finite differences
 in the tests.
 """
@@ -86,18 +86,6 @@ class QNetwork:
 
         return self.forward(np.arange(self.num_states))
 
-    def value_table(self) -> "QNetwork":
-        """A frozen copy of this net's action values: a net without hidden
-        layers whose one weight matrix is :meth:`q_table` and whose bias is
-        zero, so its forward pass is a row gather.
-
-        Its rows equal a batch forward pass of this net bit for bit as long
-        as a matrix product's row does not depend on how many rows are
-        multiplied.  No initialisation is drawn.
-        """
-
-        return QNetwork._of_layers([self.q_table()], [np.zeros(self.num_actions)])
-
     # -- parameter handling ---------------------------------------------------
 
     def parameters(self) -> list[np.ndarray]:
@@ -107,54 +95,39 @@ class QNetwork:
             out.append(b)
         return out
 
-    @classmethod
-    def _of_layers(cls, weights: list[np.ndarray], biases: list[np.ndarray]) -> "QNetwork":
-        """A net over the given layers, which it takes without copying."""
-
-        net = cls.__new__(cls)
-        net.num_states = weights[0].shape[0]
-        net.num_actions = weights[-1].shape[1]
-        net.hidden_sizes = tuple(w.shape[1] for w in weights[:-1])
-        net.weights = weights
-        net.biases = biases
-        return net
-
     def copy(self) -> "QNetwork":
-        return QNetwork._of_layers(
-            [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-        )
+        """An independent net with these parameters; no initialisation is
+        drawn."""
 
-    def load_from(self, other: "QNetwork") -> None:
-        """Hard sync: overwrite parameters with ``other``'s."""
-
-        for mine, theirs in zip(self.weights, other.weights):
-            mine[...] = theirs
-        for mine, theirs in zip(self.biases, other.biases):
-            mine[...] = theirs
+        net = QNetwork.__new__(QNetwork)
+        net.num_states = self.num_states
+        net.num_actions = self.num_actions
+        net.hidden_sizes = self.hidden_sizes
+        net.weights = [w.copy() for w in self.weights]
+        net.biases = [b.copy() for b in self.biases]
+        return net
 
 
 def td_loss_and_gradients(
     net: QNetwork,
-    target_net: QNetwork,
+    next_values: np.ndarray,
     states: np.ndarray,
     actions: np.ndarray,
     rewards: np.ndarray,
     next_states: np.ndarray,
     done: np.ndarray,
-    next_action_mask: np.ndarray,
     gamma: float,
 ) -> tuple[float, list]:
     """Mean-squared one-step TD loss and its gradient w.r.t. net parameters.
 
-    Targets are r + gamma * max over admissible next actions of the frozen
-    target net (zeroed where done), so no gradient flows through them.
-    ``next_action_mask`` is a (batch, num_actions) boolean of admissible
-    actions in the next state; rows where done is set may be all False.
-    Gradients come back in parameters() order, the first weight matrix's as
-    ``(rows, row_grads)``: the batch's distinct states, ascending, and the
-    gradient of each of those rows (every other row's is zero).  Each row
-    sums its samples in batch order from 0.0, as ``np.add.at`` into a dense
-    zero matrix would, so scattering it gives that matrix bit for bit.
+    Targets are r + gamma * next_values[s'] (zeroed where done), where
+    ``next_values`` holds one frozen value per state, so no gradient flows
+    through them.  Gradients come back in parameters() order, the first
+    weight matrix's as ``(rows, row_grads)``: the batch's distinct states,
+    ascending, and the gradient of each of those rows (every other row's is
+    zero).  Each row sums its samples in batch order from 0.0, as
+    ``np.add.at`` into a dense zero matrix would, so scattering it gives
+    that matrix bit for bit.
     """
 
     states = np.asarray(states, dtype=np.int64)
@@ -170,11 +143,7 @@ def td_loss_and_gradients(
     q_all = net.forward(states, inputs)
     q_sel = q_all[np.arange(batch), actions]
 
-    q_next = target_net.forward(next_states)
-    q_next = np.where(next_action_mask, q_next, -np.inf)
-    max_next = np.max(q_next, axis=1)
-    max_next = np.where(np.isfinite(max_next), max_next, 0.0)
-    targets = rewards + gamma * max_next * (~done)
+    targets = rewards + gamma * next_values[next_states] * (~done)
 
     diff = q_sel - targets
     loss = float(np.mean(diff * diff))

@@ -16,7 +16,8 @@ action values.  ``tabular`` keeps one value per action slot and plays its
 training episodes in the episode loop of ``_kernels``; ``dqn`` trains the
 plain-numpy network from :mod:`cybermdp.network` with uniform experience
 replay (a ring buffer, so eviction is oldest-first), a target frozen at
-each hard sync as the network's value table (a row gather per step) and
+each hard sync as the network's greedy state values (one value per state,
+read with :func:`~cybermdp.mdp.state_values`, a gather per step) and
 row-sparse vanilla SGD (only the first-layer rows of the batch's states
 change); it raises :class:`~cybermdp.mdp.ConvergenceError` once its values
 go non-finite.  Either way the result is a
@@ -45,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from .mdp import ConvergenceError, Mdp
+from .mdp import ConvergenceError, Mdp, state_slots, state_values
 from .network import QNetwork, sgd_step, td_loss_and_gradients
 
 ALGORITHMS = ("tabular", "dqn")
@@ -137,9 +138,7 @@ class TabularQ:
     values: np.ndarray
 
     def action_values(self, state: int) -> np.ndarray:
-        lo = int(self.action_offsets[state])
-        hi = int(self.action_offsets[state + 1])
-        return self.values[lo:hi]
+        return self.values[state_slots(self.action_offsets, state)]
 
 
 class ReplayBuffer:
@@ -336,12 +335,10 @@ def _dqn_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Calla
         hidden_sizes=cfg.hidden_layers,
         rng=rng_init,
     )
-    # Frozen between hard syncs, the target is kept as its value table, so
-    # each step's target pass is a row gather.
-    target = net.value_table()
+    # Frozen between hard syncs, the target is kept as each state's greedy
+    # value, so each step's bootstrap is a gather.
+    target = state_values(mdp, _network_slot_values(mdp, net))
     replay = ReplayBuffer(cfg.replay_capacity)
-    # (num_states, max_actions) admissibility mask, indexed by next state.
-    mask = np.arange(max_actions)[None, :] < action_counts[:, None]
     # Read per step, so as lists: a list item is cheaper to read than an
     # array's, and holds the same value.
     counts, offsets, success, dest, reward_of = (
@@ -377,20 +374,12 @@ def _dqn_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Calla
                     cfg.batch_size, rng_train
                 )
                 _, grads = td_loss_and_gradients(
-                    net,
-                    target,
-                    states,
-                    actions,
-                    rewards,
-                    next_states,
-                    dones,
-                    mask[next_states],
-                    mdp.gamma,
+                    net, target, states, actions, rewards, next_states, dones, mdp.gamma
                 )
                 sgd_step(net, grads, cfg.learning_rate)
             steps_done += 1
             if steps_done % cfg.target_sync_interval == 0:
-                target = net.value_table()
+                target = state_values(mdp, _network_slot_values(mdp, net))
             s = s2
             if done:
                 break

@@ -9,7 +9,9 @@ instead of BFS, the policy oracle solves linear systems and enumerates
 policies instead of iterating Bellman backups, the sweep oracle is a scalar loop over states and slots
 instead of the vectorized backup, depths come from a literally recursive
 DFS, the network oracle multiplies dense one-hot inputs instead of looking
-up weight rows, and the gradient oracle is central finite differences.
+up weight rows, the DQN target oracle masks and maxes a deep copy's forward
+pass instead of reading ``state_values``, and the gradient oracle is central
+finite differences.
 Agreement between these and the production code is evidence, not
 circularity.
 """
@@ -269,15 +271,28 @@ def one_hot_forward(net: QNetwork, states) -> np.ndarray:
     return h
 
 
+def masked_max_target(
+    net: QNetwork, next_states: np.ndarray, next_action_mask: np.ndarray
+) -> np.ndarray:
+    """Each sample's bootstrap from a frozen deep copy of ``net``: its
+    forward pass over ``next_states``, inadmissible actions (False in the
+    (batch, num_actions) ``next_action_mask``) set to -inf, the row max,
+    and a non-finite max set to 0.0."""
+
+    q_next = net.copy().forward(next_states)
+    q_next = np.where(next_action_mask, q_next, -np.inf)
+    max_next = np.max(q_next, axis=1)
+    return np.where(np.isfinite(max_next), max_next, 0.0)
+
+
 def finite_difference_grads(
     net: QNetwork,
-    target_net: QNetwork,
+    next_values: np.ndarray,
     states: np.ndarray,
     actions: np.ndarray,
     rewards: np.ndarray,
     next_states: np.ndarray,
     done: np.ndarray,
-    next_action_mask: np.ndarray,
     gamma: float,
     h: float = 1e-5,
 ) -> list[np.ndarray]:
@@ -285,8 +300,7 @@ def finite_difference_grads(
 
     def loss_now() -> float:
         loss, _ = td_loss_and_gradients(
-            net, target_net, states, actions, rewards, next_states, done,
-            next_action_mask, gamma,
+            net, next_values, states, actions, rewards, next_states, done, gamma
         )
         return float(loss)
 

@@ -31,6 +31,7 @@ from oracles import (
     dense_gradients,
     expected_vertex_count,
     finite_difference_grads,
+    masked_max_target,
     policy_success_path,
     relative_gradient_error,
     transitions,
@@ -321,9 +322,12 @@ def test_dqn_gradients_match_finite_differences():
                 if not done[i] and not mask[i].any():
                     mask[i, int(rng.integers(0, num_actions))] = True
             gamma = float(rng.uniform(0.5, 0.999))
-            args = (states, actions, rewards, next_states, done, mask, gamma)
-            _, analytic = td_loss_and_gradients(net, target, *args)
-            numeric = finite_difference_grads(net, target, *args)
+            # Per state; a state drawn twice keeps its last sample's value.
+            next_values = np.zeros(num_states)
+            next_values[next_states] = masked_max_target(target, next_states, mask)
+            args = (next_values, states, actions, rewards, next_states, done, gamma)
+            _, analytic = td_loss_and_gradients(net, *args)
+            numeric = finite_difference_grads(net, *args)
             assert relative_gradient_error(dense_gradients(net, analytic), numeric) < 1e-4
 
 

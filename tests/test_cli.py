@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cybermdp import cli
+from cybermdp import graph as graph_module
 from cybermdp.cli import main
 from cybermdp.graph import Protocol, parse_attack_graph, serialize_attack_graph
 from cybermdp.netgen import plant_gauntlet
@@ -274,6 +275,16 @@ class TestBuild:
         assert main(["build", str(graph_file), "--mode", "reward", "--w", "-3"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["terrain"] == {"mode": "reward", "strength": -3.0, "restrict": None}
+
+    def test_graph_validated_once(self, graph_file, monkeypatch, capsys):
+        # The CLI and build_cvss_mdp both validate; the graph is checked once.
+        reachable_set = graph_module.reachable_set
+        calls = []
+        monkeypatch.setattr(
+            graph_module, "reachable_set", lambda *a: calls.append(a) or reachable_set(*a)
+        )
+        assert main(["build", str(graph_file)]) == 0
+        assert len(calls) == 1
 
     def test_bad_gamma_exit_one(self, graph_file):
         assert main(["build", str(graph_file), "--gamma", "1.5"]) == 1

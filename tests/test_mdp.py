@@ -36,6 +36,7 @@ from cybermdp.mdp import (
     value_iteration,
 )
 from cybermdp.netgen import TopologyParams, generate, plant_gauntlet
+from cybermdp.solver import TabularQ
 from oracles import (
     action_slot,
     action_target,
@@ -599,6 +600,21 @@ class TestGauntletProcess:
     def test_uniform_low_complexity(self, gauntlet_ftp):
         mdp = build_cvss_mdp(gauntlet_ftp)
         assert np.all(mdp.action_success == 0.9)
+
+    @pytest.mark.parametrize("where", ["below", "past"])
+    def test_state_index_out_of_range_raises(self, gauntlet_ftp, where):
+        mdp = build_cvss_mdp(gauntlet_ftp)
+        state = -1 if where == "below" else mdp.num_states
+        table = TabularQ(mdp.action_offsets, np.zeros(mdp.num_action_slots))
+        values = np.zeros(mdp.num_states)
+        for read in (
+            mdp.num_actions,
+            mdp.vertex_id,
+            table.action_values,
+            lambda s: action_values(mdp, values, s),
+        ):
+            with pytest.raises(IndexError):
+                read(state)
 
     def test_short_route_is_optimal_vanilla(self, gauntlet_ftp):
         mdp = build_cvss_mdp(gauntlet_ftp, gamma=0.999)

@@ -10,18 +10,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cybermdp.mdp import build_cvss_mdp
+from conftest import make_mdp
+from cybermdp.mdp import build_cvss_mdp, state_values
 from cybermdp.netgen import ENTERPRISE_SCALE, generate
 from cybermdp.network import QNetwork, _row_sums, sgd_step, td_loss_and_gradients
+from cybermdp.solver import _network_slot_values
 from oracles import (
     dense_gradients,
     finite_difference_grads,
+    masked_max_target,
     one_hot_forward,
     relative_gradient_error,
 )
 
 
 def random_batch(rng: np.random.Generator, net: QNetwork, batch: int):
+    """Per-state next values frozen from ``net`` under a random
+    admissibility mask, and a random batch (s, a, r, s', done)."""
+
     states = rng.integers(0, net.num_states, size=batch)
     actions = rng.integers(0, net.num_actions, size=batch)
     rewards = rng.normal(0.0, 5.0, size=batch)
@@ -32,7 +38,23 @@ def random_batch(rng: np.random.Generator, net: QNetwork, batch: int):
     for i in range(batch):
         if not done[i] and not mask[i].any():
             mask[i, int(rng.integers(0, net.num_actions))] = True
-    return states, actions, rewards, next_states, done, mask
+    # A state drawn twice keeps its last sample's value.
+    next_values = np.zeros(net.num_states)
+    next_values[next_states] = masked_max_target(net, next_states, mask)
+    return next_values, (states, actions, rewards, next_states, done)
+
+
+def ragged_mdp():
+    """Six states owning 3, 1, 0, 0 (the terminal), 2 and 0 slots: two
+    actionless non-terminals, one of them last."""
+
+    slots = [3, 1, 0, 0, 2, 0]
+    return make_mdp(
+        states=("a", "b", "c", "t", "d", "e"),
+        actions=[[(3, 0.5, 1.0)] * k for k in slots],
+        gamma=0.9,
+        terminal=3,
+    )
 
 
 HIDDEN_SHAPES = ((), (7,), (16, 8))
@@ -107,104 +129,86 @@ class TestQNetwork:
         clone.weights[0][0, 0] += 1.0
         assert net.weights[0][0, 0] != clone.weights[0][0, 0]
 
-    def test_load_from_syncs_in_place(self):
-        net = QNetwork(4, 2, rng=np.random.Generator(np.random.PCG64(1)))
-        other = QNetwork(4, 2, rng=np.random.Generator(np.random.PCG64(2)))
-        views = net.parameters()
-        net.load_from(other)
-        for view, theirs in zip(views, other.parameters()):
-            np.testing.assert_array_equal(view, theirs)
-
 
 class TestTdLoss:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.Generator(np.random.PCG64(20250817))
         net = QNetwork(6, 3, hidden_sizes=(10, 6), rng=rng)
-        target = net.copy()
-        states, actions, rewards, next_states, done, mask = random_batch(rng, net, 8)
-        loss, grads = td_loss_and_gradients(
-            net, target, states, actions, rewards, next_states, done, mask, 0.9
-        )
+        next_values, batch = random_batch(rng, net, 8)
+        loss, grads = td_loss_and_gradients(net, next_values, *batch, 0.9)
         assert loss > 0.0
-        numeric = finite_difference_grads(
-            net, target, states, actions, rewards, next_states, done, mask, 0.9
-        )
+        numeric = finite_difference_grads(net, next_values, *batch, 0.9)
         assert relative_gradient_error(dense_gradients(net, grads), numeric) < 1e-4
 
     def test_gradient_check_without_hidden_layers(self):
         rng = np.random.Generator(np.random.PCG64(5))
         net = QNetwork(4, 2, hidden_sizes=(), rng=rng)
-        target = net.copy()
-        states, actions, rewards, next_states, done, mask = random_batch(rng, net, 6)
-        _, grads = td_loss_and_gradients(
-            net, target, states, actions, rewards, next_states, done, mask, 0.95
-        )
-        numeric = finite_difference_grads(
-            net, target, states, actions, rewards, next_states, done, mask, 0.95
-        )
+        next_values, batch = random_batch(rng, net, 6)
+        _, grads = td_loss_and_gradients(net, next_values, *batch, 0.95)
+        numeric = finite_difference_grads(net, next_values, *batch, 0.95)
         assert relative_gradient_error(dense_gradients(net, grads), numeric) < 1e-4
 
     def test_terminal_transitions_ignore_bootstrap(self):
         net = QNetwork(3, 2, rng=np.random.Generator(np.random.PCG64(9)))
-        target = net.copy()
+        next_values = np.full(3, 50.0)
         states = np.array([0])
         actions = np.array([1])
         rewards = np.array([100.0])
         next_states = np.array([2])
-        mask = np.ones((1, 2), dtype=bool)
         loss_done, _ = td_loss_and_gradients(
-            net, target, states, actions, rewards, next_states,
-            np.array([True]), mask, 0.9,
+            net, next_values, states, actions, rewards, next_states,
+            np.array([True]), 0.9,
         )
         q = net.q_row(0)[1]
         assert loss_done == pytest.approx((q - 100.0) ** 2, abs=1e-10)
 
     def test_fully_masked_next_state_bootstraps_zero(self):
-        net = QNetwork(3, 2, rng=np.random.Generator(np.random.PCG64(9)))
-        target = net.copy()
+        mdp = ragged_mdp()
+        net = QNetwork(6, 3, rng=np.random.Generator(np.random.PCG64(9)))
+        next_values = state_values(mdp, _network_slot_values(mdp, net))
+        # State 2 is a non-terminal without actions: done is not set.
         loss, _ = td_loss_and_gradients(
             net,
-            target,
+            next_values,
             np.array([0]),
             np.array([0]),
             np.array([1.0]),
-            np.array([1]),
+            np.array([2]),
             np.array([False]),
-            np.zeros((1, 2), dtype=bool),
             0.9,
         )
         q = net.q_row(0)[0]
         assert loss == pytest.approx((q - 1.0) ** 2, abs=1e-10)
 
-    def test_mask_limits_bootstrap_argmax(self):
-        net = QNetwork(3, 2, rng=np.random.Generator(np.random.PCG64(14)))
-        target = net.copy()
-        args = (np.array([0]), np.array([0]), np.array([0.0]), np.array([1]),
-                np.array([False]))
-        only_first = np.array([[True, False]])
-        only_second = np.array([[False, True]])
-        loss_first, _ = td_loss_and_gradients(net, target, *args, only_first, 0.9)
-        loss_second, _ = td_loss_and_gradients(net, target, *args, only_second, 0.9)
-        q0 = net.q_row(0)[0]
-        next_q = target.q_row(1)
-        assert loss_first == pytest.approx((q0 - 0.9 * next_q[0]) ** 2, abs=1e-10)
-        assert loss_second == pytest.approx((q0 - 0.9 * next_q[1]) ** 2, abs=1e-10)
+    def test_state_values_limit_bootstrap_to_admissible_actions(self):
+        mdp = ragged_mdp()
+        counts = np.diff(mdp.action_offsets)
+        for hidden in HIDDEN_SHAPES:
+            net = QNetwork(6, 3, hidden, rng=np.random.Generator(np.random.PCG64(14)))
+            # The last action slot outscores every other, but only state 0 owns it.
+            net.biases[-1][2] = 1e6
+            values = state_values(mdp, _network_slot_values(mdp, net))
+            table = net.q_table()
+            expected = [table[s, :k].max() if k else 0.0 for s, k in enumerate(counts)]
+            assert values.tolist() == expected
+            assert values[[2, 3, 5]].tolist() == [0.0, 0.0, 0.0]
+            assert values[0] > 1e5 > values[[1, 4]].max()
+            mask = np.arange(3) < counts[:, None]
+            assert bits(values) == bits(masked_max_target(net, np.arange(6), mask))
 
     def test_zero_loss_at_fixed_point(self):
         net = QNetwork(2, 1, hidden_sizes=(), rng=np.random.Generator(np.random.PCG64(0)))
         # Force exact consistency: Q(0,0) = r + gamma * Q(1,0).
         net.weights[0][...] = np.array([[5.0], [4.0]])
         net.biases[0][...] = 0.0
-        target = net.copy()
         loss, grads = td_loss_and_gradients(
             net,
-            target,
+            net.q_table()[:, 0],
             np.array([0]),
             np.array([0]),
             np.array([5.0 - 0.5 * 4.0]),
             np.array([1]),
             np.array([False]),
-            np.ones((1, 1), dtype=bool),
             0.5,
         )
         assert loss == pytest.approx(0.0, abs=1e-18)
@@ -215,10 +219,10 @@ class TestTdLoss:
         net = QNetwork(2, 1)
         with pytest.raises(ValueError, match="empty"):
             td_loss_and_gradients(
-                net, net.copy(),
+                net, np.zeros(2),
                 np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                 np.empty(0), np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=bool), np.empty((0, 1), dtype=bool), 0.9,
+                np.empty(0, dtype=bool), 0.9,
             )
 
 
@@ -226,11 +230,10 @@ class TestSgd:
     def test_step_reduces_loss(self):
         rng = np.random.Generator(np.random.PCG64(77))
         net = QNetwork(5, 3, hidden_sizes=(12,), rng=rng)
-        target = net.copy()
-        batch = random_batch(rng, net, 16)
-        before, grads = td_loss_and_gradients(net, target, *batch, 0.9)
+        next_values, batch = random_batch(rng, net, 16)
+        before, grads = td_loss_and_gradients(net, next_values, *batch, 0.9)
         sgd_step(net, grads, learning_rate=0.01)
-        after, _ = td_loss_and_gradients(net, target, *batch, 0.9)
+        after, _ = td_loss_and_gradients(net, next_values, *batch, 0.9)
         assert after < before
 
     def test_updates_in_place(self):
@@ -275,12 +278,10 @@ class TestRowSparse:
         rng = np.random.Generator(np.random.PCG64(17))
         for hidden in HIDDEN_SHAPES:
             net = QNetwork(40, 4, hidden_sizes=hidden, rng=rng)
-            _, actions, rewards, next_states, done, mask = random_batch(rng, net, 32)
+            next_values, (_, *rest) = random_batch(rng, net, 32)
             # Ten of the forty states: rows repeat, and most rows stay untouched.
             states = rng.integers(0, 10, size=32)
-            _, grads = td_loss_and_gradients(
-                net, net.copy(), states, actions, rewards, next_states, done, mask, 0.9
-            )
+            _, grads = td_loss_and_gradients(net, next_values, states, *rest, 0.9)
             dense = net.copy()
             for p, g in zip(dense.parameters(), dense_gradients(net, grads)):
                 p -= 0.01 * g
@@ -289,14 +290,13 @@ class TestRowSparse:
                 assert bits(mine) == bits(theirs)
 
 
-def test_value_table_target_equals_deep_copy():
+def test_state_values_target_equals_deep_copy():
     mdp = build_cvss_mdp(generate(ENTERPRISE_SCALE))
     counts = np.diff(mdp.action_offsets)
     rng = np.random.Generator(np.random.PCG64(18))
     for hidden in ((64, 64), (16,), ()):
         net = QNetwork(mdp.num_states, int(counts.max()), hidden, rng=rng)
-        table, deep = net.value_table(), net.copy()
-        assert table.hidden_sizes == () and not table.biases[0].any()
+        next_values = state_values(mdp, _network_slot_values(mdp, net))
         for batch in (1, 2, 32, 100):
             states = rng.integers(0, mdp.num_states, size=batch)
             actions = rng.integers(0, net.num_actions, size=batch)
@@ -304,14 +304,19 @@ def test_value_table_target_equals_deep_copy():
             next_states = rng.integers(0, mdp.num_states, size=batch)
             done = rng.random(batch) < 0.25
             mask = np.arange(net.num_actions) < counts[next_states, None]
-            args = (states, actions, rewards, next_states, done, mask, mdp.gamma)
-            loss_t, grads_t = td_loss_and_gradients(net, table, *args)
-            loss_d, grads_d = td_loss_and_gradients(net, deep, *args)
-            assumption = (
-                "the value-table target differs from a deep target copy: this BLAS "
-                "gives a matrix product row that depends on how many rows are multiplied "
-                f"(hidden {hidden}, batch {batch})"
+            # The reference holds one value per sample, so sample i reads entry i.
+            reference = masked_max_target(net, next_states, mask)
+            loss_s, grads_s = td_loss_and_gradients(
+                net, next_values, states, actions, rewards, next_states, done, mdp.gamma
             )
-            assert bits(np.float64(loss_t)) == bits(np.float64(loss_d)), assumption
-            for g_t, g_d in zip(dense_gradients(net, grads_t), dense_gradients(net, grads_d)):
-                assert bits(g_t) == bits(g_d), assumption
+            loss_r, grads_r = td_loss_and_gradients(
+                net, reference, states, actions, rewards, np.arange(batch), done, mdp.gamma
+            )
+            assumption = (
+                "the state-value target differs from a deep target copy's masked max: "
+                "this BLAS gives a matrix product row that depends on how many rows are "
+                f"multiplied (hidden {hidden}, batch {batch})"
+            )
+            assert bits(np.float64(loss_s)) == bits(np.float64(loss_r)), assumption
+            for g_s, g_r in zip(dense_gradients(net, grads_s), dense_gradients(net, grads_r)):
+                assert bits(g_s) == bits(g_r), assumption
