@@ -10,8 +10,9 @@ Subcommands::
     cybermdp export-dot GRAPH --out FILE     render to Graphviz DOT
 
 Exit codes: 0 success, 1 domain violation (failed validation, bad
-parameters, non-convergence), 2 I/O or parse failure.  ``gen``, ``build``
-and ``export-dot`` print their document, or write it to ``--out``.
+parameters, non-convergence, a size too large to allocate), 2 I/O or
+parse failure.  ``gen``, ``build`` and ``export-dot`` print their
+document, or write it to ``--out``.
 ``train`` and ``compare`` fill a run directory through ``_write_run``,
 which writes a ``manifest.json`` recording the resolved configuration, the
 sha256 of the graph bytes the run parsed and of every artifact; ``--config``
@@ -570,7 +571,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (GraphFormatError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, KeyError, ConvergenceError) as exc:
+    except (ValueError, KeyError, ConvergenceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

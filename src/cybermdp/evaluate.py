@@ -19,6 +19,7 @@ path length and retry count cannot be conflated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -38,20 +39,9 @@ def extract_path(visited: Sequence[str]) -> tuple[tuple[str, ...], bool]:
     whether one reappears after another was visited (stay-put repetitions
     collapse silently); if so, the vertices may not form an edge path."""
 
-    vertices: list[str] = []
-    seen: set[str] = set()
-    revisited = False
-    previous: str | None = None
-    for vid in visited:
-        if vid == previous:
-            continue  # stay-put repetition
-        if vid in seen:
-            revisited = True
-        else:
-            seen.add(vid)
-            vertices.append(vid)
-        previous = vid
-    return tuple(vertices), revisited
+    moves = [vid for vid, _ in groupby(visited)]
+    vertices = tuple(dict.fromkeys(moves))
+    return vertices, len(vertices) != len(moves)
 
 
 @dataclass(frozen=True)

@@ -86,21 +86,18 @@ def dfs_depths(graph: AttackGraph) -> dict[str, int]:
     """
 
     depths = {graph.initial: 0}
-    stack: list[tuple[str, int]] = [(graph.initial, 0)]
-    iters = [iter(graph.successors(graph.initial))]
-    while iters:
-        u, d = stack[-1]
-        advanced = False
-        for w in iters[-1]:
+    # Each entry is a vertex on the current DFS path and its successors
+    # not yet looked at.
+    stack = [(graph.initial, iter(graph.successors(graph.initial)))]
+    while stack:
+        u, successors = stack[-1]
+        for w in successors:
             if w not in depths and graph.has_vertex(w):
-                depths[w] = d + 1
-                stack.append((w, d + 1))
-                iters.append(iter(graph.successors(w)))
-                advanced = True
+                depths[w] = depths[u] + 1
+                stack.append((w, iter(graph.successors(w))))
                 break
-        if not advanced:
+        else:
             stack.pop()
-            iters.pop()
     return depths
 
 

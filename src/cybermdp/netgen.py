@@ -169,20 +169,16 @@ def generate(params: TopologyParams) -> AttackGraph:
         vertices.append(Vertex(id=vid, kind=kind, label=label, cvss=cvss, firewall=firewall))
 
     for k in range(s):
-        for i in range(h):
-            add_vertex(host_ids[k][i], VertexKind.COMPONENT, f"subnet {k} host {i}")
+        ids = host_ids[k]
+        for i, vid in enumerate(ids):
+            add_vertex(vid, VertexKind.COMPONENT, f"subnet {k} host {i}")
         # Chain keeps each subnet internally traversable front to back.
-        for i in range(h - 1):
-            edges.append((host_ids[k][i], host_ids[k][i + 1]))
-        # Extra intra-subnet edges; ordered pairs, chain pairs excluded.
+        edges.extend(zip(ids, ids[1:]))
+        # Extra intra-subnet edges; ordered pairs in row-major order, self
+        # and chain pairs excluded.
         if h >= 2 and params.intra_edge_prob > 0:
-            draws = rng_structure.random((h, h))
-            for i in range(h):
-                for j in range(h):
-                    if i == j or j == i + 1:
-                        continue
-                    if draws[i, j] < params.intra_edge_prob:
-                        edges.append((host_ids[k][i], host_ids[k][j]))
+            hits = np.argwhere(rng_structure.random((h, h)) < params.intra_edge_prob)
+            edges.extend((ids[i], ids[j]) for i, j in hits.tolist() if j - i not in (0, 1))
 
         if k < s - 1:
             # Connectors into the next subnet; the first is a fixed backbone
@@ -192,10 +188,10 @@ def generate(params: TopologyParams) -> AttackGraph:
                 rid = f"n{k}x{m}"
                 add_vertex(rid, VertexKind.RULE, f"traversal subnet {k} to {k + 1} (#{m})")
                 if m == 0:
-                    src = host_ids[k][h - 1]
+                    src = ids[-1]
                     dst = host_ids[k + 1][0]
                 else:
-                    src = host_ids[k][int(rng_structure.integers(0, h))]
+                    src = ids[int(rng_structure.integers(0, h))]
                     dst = host_ids[k + 1][int(rng_structure.integers(0, h))]
                 edges.append((src, rid))
                 edges.append((rid, dst))
@@ -206,7 +202,7 @@ def generate(params: TopologyParams) -> AttackGraph:
             decoy_ids = [f"n{k}d0", f"n{k}d1"]
             for j, did in enumerate(decoy_ids):
                 add_vertex(did, VertexKind.COMPONENT, f"subnet {k} decoy {j}")
-            feeder = host_ids[k][int(rng_structure.integers(0, h))]
+            feeder = ids[int(rng_structure.integers(0, h))]
             edges.append((feeder, decoy_ids[0]))
             edges.append((decoy_ids[0], decoy_ids[1]))
             edges.append((decoy_ids[1], decoy_ids[0]))
@@ -265,41 +261,31 @@ def plant_gauntlet(
         )
     ]
     edges: list[tuple[str, str]] = []
-
-    short_ids = [f"s{i}" for i in range(1, _SHORT_HOPS)]
-    for i, sid in enumerate(short_ids, start=1):
-        firewall = FirewallAnnotation(blocked=blocked) if i == 1 else None
-        suffix = ", firewalled" if firewall else ""
-        vertices.append(
-            Vertex(
-                id=sid,
-                kind=VertexKind.COMPONENT,
-                label=f"short route hop {i} of {_SHORT_HOPS}{suffix}",
-                cvss=_GAUNTLET_SHORT_CVSS,
-                firewall=firewall,
-            )
-        )
-    long_ids = [f"l{i}" for i in range(1, _LONG_HOPS)]
-    for i, lid in enumerate(long_ids, start=1):
-        vertices.append(
-            Vertex(
-                id=lid,
-                kind=VertexKind.COMPONENT,
-                label=f"long route hop {i} of {_LONG_HOPS}",
-                cvss=_GAUNTLET_LONG_CVSS,
-            )
-        )
-    vertices.append(
-        Vertex(id="target", kind=VertexKind.COMPONENT, label="target", cvss=_GAUNTLET_END_CVSS)
-    )
-
     # Short route first: depth scaling then measures the terminal at
     # _SHORT_HOPS, and the long route's extra depth dilutes its per-vertex
     # rewards instead of inflating them.
-    chain = ["entry", *short_ids, "target"]
-    edges.extend(zip(chain, chain[1:]))
-    chain = ["entry", *long_ids, "target"]
-    edges.extend(zip(chain, chain[1:]))
+    for name, hops, cvss in (
+        ("short", _SHORT_HOPS, _GAUNTLET_SHORT_CVSS),
+        ("long", _LONG_HOPS, _GAUNTLET_LONG_CVSS),
+    ):
+        chain = ["entry"]
+        for i in range(1, hops):
+            firewall = FirewallAnnotation(blocked=blocked) if (name, i) == ("short", 1) else None
+            chain.append(f"{name[0]}{i}")
+            vertices.append(
+                Vertex(
+                    id=chain[-1],
+                    kind=VertexKind.COMPONENT,
+                    label=f"{name} route hop {i} of {hops}{', firewalled' if firewall else ''}",
+                    cvss=cvss,
+                    firewall=firewall,
+                )
+            )
+        chain.append("target")
+        edges.extend(zip(chain, chain[1:]))
+    vertices.append(
+        Vertex(id="target", kind=VertexKind.COMPONENT, label="target", cvss=_GAUNTLET_END_CVSS)
+    )
 
     return AttackGraph(
         vertices=tuple(vertices),

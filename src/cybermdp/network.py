@@ -95,18 +95,6 @@ class QNetwork:
             out.append(b)
         return out
 
-    def copy(self) -> "QNetwork":
-        """An independent net with these parameters; no initialisation is
-        drawn."""
-
-        net = QNetwork.__new__(QNetwork)
-        net.num_states = self.num_states
-        net.num_actions = self.num_actions
-        net.hidden_sizes = self.hidden_sizes
-        net.weights = [w.copy() for w in self.weights]
-        net.biases = [b.copy() for b in self.biases]
-        return net
-
 
 def td_loss_and_gradients(
     net: QNetwork,

@@ -18,6 +18,7 @@ circularity.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import sys
 
@@ -279,7 +280,7 @@ def masked_max_target(
     (batch, num_actions) ``next_action_mask``) set to -inf, the row max,
     and a non-finite max set to 0.0."""
 
-    q_next = net.copy().forward(next_states)
+    q_next = copy.deepcopy(net).forward(next_states)
     q_next = np.where(next_action_mask, q_next, -np.inf)
     max_next = np.max(q_next, axis=1)
     return np.where(np.isfinite(max_next), max_next, 0.0)

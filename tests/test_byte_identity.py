@@ -6,8 +6,10 @@ restriction (whose headline variants are also sweep entries), every file
 of a tabular and of a DQN ``train`` there, every file of a DQN ``train``
 on the ``desk`` preset, the documents ``build`` prints in reward and
 state mode, the graphs ``gen`` prints for both presets and their compiled
-processes, and the raw visit sequences of greedy rollouts on ``desk``
-(whose stay-put order ``metrics.json`` only counts).  A refactor that
+processes, the raw visit sequences of greedy rollouts on ``desk``
+(whose stay-put order ``metrics.json`` only counts), and the trained
+action values of hidden-layer-free DQN runs, whose steps hold no matrix
+product for a BLAS build to reorder.  A refactor that
 claims to leave outputs unchanged must keep these digests; a change that
 alters results on purpose must update them and say why.  The runs happen
 inside ``tmp_path`` with relative paths, because a manifest records the
@@ -23,9 +25,10 @@ import pytest
 
 from cybermdp.cli import PRESETS, main
 from cybermdp.evaluate import rollout_greedy
+from cybermdp.graph import Protocol
 from cybermdp.mdp import build_cvss_mdp, slot_values, value_iteration
-from cybermdp.netgen import generate
-from cybermdp.solver import TabularQ
+from cybermdp.netgen import generate, plant_gauntlet
+from cybermdp.solver import TabularQ, TrainConfig, train
 from cybermdp.terrain import TerrainConfig, TerrainMode, apply_terrain
 
 GOLDEN = {
@@ -191,6 +194,21 @@ GEN_BUILD_GOLDEN = {
 # the visited states, hops, repr of the total reward and the reached flag.
 ROLLOUT_GOLDEN = "d2a9d368928283efc6f50fe305d630c803b94f734acba8260276d740c4cb734b"
 
+# sha256 of TrainResult.q.values bytes after 8 DQN episodes (at most 150
+# steps, target sync every 40, learning rate 0.01, gamma 0.9) with no
+# hidden layer.  The DQN_GOLDEN pins above hash no action value, so these
+# are what fixes the network's last bits.  desk seed 1 also fixes the
+# order in which a row's repeated samples are summed: a state appears
+# three or more times in some of its batches.
+DQN_VALUES_GOLDEN = {
+    ("gauntlet", 0): "75144ad153251988e2df70e928788bd4349d31afdd98979498d23c896aebf0a3",
+    ("gauntlet", 1): "550cae78873a9138fec328126b0d10ebc93dbf70eea6bc6d2710712781df5b88",
+    ("gauntlet", 2): "8e6298b27b38559831bb188df971b8b5209a68322f943a66d1e192c41d34c624",
+    ("desk", 0): "a4927a81a73e990a9114907937553eeb72d73be936055ebebc39875d7c80c6f8",
+    ("desk", 1): "d7c12d31d969edaf764cea24092a1214de9be3354837ecc43a67ec2365a34327",
+    ("desk", 2): "f0ce9da77e2c9bc47a5239bc39054c97e5a45783defc1063e6ec7e8e09f645b0",
+}
+
 
 def _digests(run_dir):
     return {
@@ -294,3 +312,22 @@ def test_rollout_visit_sequences_are_byte_identical():
         )
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert digest == ROLLOUT_GOLDEN
+
+
+@pytest.mark.parametrize("graph_name, seed", sorted(DQN_VALUES_GOLDEN))
+def test_dqn_values_without_hidden_layers_are_byte_identical(graph_name, seed):
+    if graph_name == "gauntlet":
+        graph = plant_gauntlet(PRESETS["desk"], frozenset({Protocol.FTP}))
+    else:
+        graph = generate(PRESETS[graph_name])
+    cfg = TrainConfig(
+        episodes=8, algorithm="dqn", max_steps_per_episode=150, learning_rate=0.01,
+        target_sync_interval=40, hidden_layers=(), seed=seed,
+    )
+    values = train(build_cvss_mdp(graph, gamma=0.9), cfg).q.values
+    digest = hashlib.sha256(values.tobytes()).hexdigest()
+    assert digest == DQN_VALUES_GOLDEN[graph_name, seed], (
+        "trained DQN values moved; this pin assumes numpy's axis-0 sum adds "
+        "a batch's rows in order, the one reduction left in a step without "
+        "a hidden layer"
+    )

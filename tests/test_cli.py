@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cybermdp import cli
+from cybermdp import cli, solver
 from cybermdp import graph as graph_module
 from cybermdp.cli import main
 from cybermdp.graph import Protocol, parse_attack_graph, serialize_attack_graph
@@ -777,3 +777,59 @@ class TestExitCodeContract:
                 "--config", str(config), "--episodes", str(episodes),
             ]
             assert main(argv) in (0, 1, 2)
+
+
+def _out_of_memory_when(original, too_large, message):
+    """``original``, except that a call whose arguments ``too_large``
+    accepts raises ``MemoryError(message)`` instead of asking for the
+    memory, as numpy does when an array cannot be allocated."""
+
+    def call(*args, **kwargs):
+        if too_large(*args, **kwargs):
+            raise MemoryError(message)
+        return original(*args, **kwargs)
+
+    return call
+
+
+HUGE = 100_000_000_000
+
+
+@pytest.mark.parametrize(
+    "command, doc, module, name, too_large, message",
+    [
+        # generate draws an (h, h) block per subnet: 7.28 TiB here.
+        ("gen", {**SMALL_TOPOLOGY, "hosts_per_subnet": 1_000_000}, cli, "generate",
+         lambda params: params.hosts_per_subnet == 1_000_000,
+         "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) "
+         "and data type float64"),
+        ("train", {"algorithm": "dqn", "replay_capacity": HUGE}, solver, "ReplayBuffer",
+         lambda capacity: capacity == HUGE,
+         "Unable to allocate 745. GiB for an array with shape (100000000000,) "
+         "and data type int64"),
+        ("compare", {"algorithm": "dqn", "hidden_layers": [HUGE]}, solver, "QNetwork",
+         lambda **kwargs: HUGE in kwargs["hidden_sizes"],
+         "Unable to allocate 6.55 TiB for an array with shape (9, 100000000000) "
+         "and data type float64"),
+    ],
+    ids=["gen-hosts", "train-replay", "compare-hidden"],
+)
+def test_allocation_failure_exit_one(
+    gauntlet_file, tmp_path, monkeypatch, capsys, command, doc, module, name, too_large, message
+):
+    failing = _out_of_memory_when(getattr(module, name), too_large, message)
+    monkeypatch.setattr(module, name, failing)
+    out = tmp_path / "out"
+    cfg = _json_file(tmp_path, doc, "cfg.json")
+    if command == "gen":
+        argv = ["gen", "--config", cfg, "--out", str(out)]
+    else:
+        argv = [command, str(gauntlet_file), "--out", str(out), "--config", cfg,
+                "--episodes", "2", "--max-steps", "20"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    if command == "gen":
+        assert not out.exists()
+    else:
+        assert (out / "FAILED").read_text(encoding="utf-8") == f"MemoryError: {message}\n"
+        assert not (out / "manifest.json").exists()
