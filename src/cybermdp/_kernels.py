@@ -5,13 +5,16 @@ parallel arrays (``offsets`` segments them by state, ``dest``/``p``/``r``
 give each slot's destination state, success probability, and success-arrival
 reward; failure keeps the agent in place with reward 0).  The loop here
 indexes those sequences and nothing else, so the same function serves as a
-compilation target and as plain Python.  It plays one episode: with
-``learn`` set, a tabular Q-learning episode; without it, the greedy
-rollout, which draws no coin, writes nothing to the values and records
-where each step landed.  Keeping both in one loop keeps the step rules that
-must agree bit for bit (greedy ties, stay-put failure, the absorbing-state
-exit, the step cap and the terminal test) in one place.  The loop calls
-only ``gen.random()`` and ``gen.integers(low, high)`` on its generator.
+compilation target and as plain Python.  It plays a run of episodes, one
+per entry of the exploration rates it is given: with ``learn`` set,
+tabular Q-learning episodes, so that training makes one call per
+evaluation interval; without it, the greedy rollout, which is given one
+rate and reads none, draws no coin, writes nothing to the values and
+records where each step landed.  Keeping both in one loop keeps the step
+rules that must agree bit for bit (greedy ties, stay-put failure, the
+absorbing-state exit, the step cap and the terminal test) in one place.
+The loop calls only ``gen.random()`` and ``gen.integers(low, high)`` on
+its generator, the latter only to explore among two or more actions.
 The DQN step keeps its own epsilon-greedy in :mod:`cybermdp.solver`,
 because it reads the network's row only when it exploits.  Value iteration
 and policy extraction are vectorized numpy in :mod:`cybermdp.mdp` on every
@@ -23,18 +26,22 @@ not importable) compiles the loop with ``@njit`` and runs it over the
 arrays with the caller's Generator; ``numpy`` runs it as plain Python over
 lists, which index about twice as fast as ndarrays, and, for a Generator
 over ``PCG64``, draws from a :class:`Pcg64Replay` of that generator's raw
-words instead of its scalar methods.  Other bit generators draw for
-themselves.  :func:`loop_inputs` is that choice, made once here for every
-caller.  Both backends produce bit-identical results for the same seeds,
-because numba's Generator methods and the replay reproduce numpy's
-streams exactly; test_kernels.py compares the compiled dispatcher with its
-Python twin, and the list-and-replay run with the array-and-Generator run.
+words instead of its scalar methods; the replay's ``random`` is C code
+(an ``itertools.chain`` over blocks of converted words), so a uniform draw
+enters Python only once per block.  Other bit generators draw for
+themselves.  :func:`loop_view` and :func:`loop_inputs` are that choice,
+made once here for every caller.  Both backends produce bit-identical
+results for the same seeds, because numba's Generator methods and the
+replay reproduce numpy's streams exactly; test_kernels.py compares the
+compiled dispatcher with its Python twin, and the list-and-replay run with
+the array-and-Generator run.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -74,75 +81,83 @@ def _episode_loop(
     counts,
     alpha,
     alpha_decay,
-    epsilon,
+    epsilons,
     learn,
     gen,
     out_next,
 ):
-    """Play one episode from ``initial`` under q; returns
-    (steps, total_reward, reached_terminal).
+    """Play one episode from ``initial`` under q per entry of ``epsilons``;
+    returns the last one's (steps, total_reward, reached_terminal).
 
-    With ``learn`` it is an epsilon-greedy training episode that updates q
-    and counts in place; draws per step: one uniform for the
-    explore/exploit coin, one integer if exploring, one uniform for the
-    transition.  Without ``learn`` it is the greedy rollout: no coin (so
+    With ``learn`` each is an epsilon-greedy training episode at its
+    epsilon that updates q and counts in place; draws per step: one
+    uniform for the explore/exploit coin, one integer if exploring among
+    two or more actions, one uniform for the transition.  Without
+    ``learn`` it is the greedy rollout, which reads no epsilon: no coin (so
     one uniform per step), q and counts are never written, and each step's
     landing state goes to out_next.  Either way greedy ties go to the
-    lowest index, a failed attempt stays put with reward 0, and the episode
+    lowest index, a failed attempt stays put with reward 0, and an episode
     ends at the terminal, at max_steps, or in a state with no actions.
     """
 
-    s = initial
     steps = 0
     total = 0.0
     reached = False
-    while steps < max_steps:
-        lo = offsets[s]
-        hi = offsets[s + 1]
-        n_a = hi - lo
-        if n_a == 0:
-            break  # absorbing non-terminal state, nothing to do
-        if learn and gen.random() < epsilon:
-            a = int(gen.integers(0, n_a))
-        else:
+    for epsilon in epsilons:
+        s = initial
+        steps = 0
+        total = 0.0
+        reached = False
+        while steps < max_steps:
+            lo = offsets[s]
+            n_a = offsets[s + 1] - lo
+            if n_a == 0:
+                break  # absorbing non-terminal state, nothing to do
+            # A lone action needs no comparison, and numpy draws nothing
+            # for a one-integer range.
             a = 0
-            best = q[lo]
-            for k in range(1, n_a):
-                if q[lo + k] > best:
-                    best = q[lo + k]
-                    a = k
-        slot = lo + a
-        if gen.random() < p[slot]:
-            s2 = dest[slot]
-            rew = r[slot]
-        else:
-            s2 = s
-            rew = 0.0
-        done = s2 == terminal
-        if learn:
-            counts[slot] += 1.0
-            if alpha_decay > 0.0:
-                a_eff = alpha / counts[slot] ** alpha_decay
+            if learn and gen.random() < epsilon:
+                if n_a > 1:
+                    a = int(gen.integers(0, n_a))
+            elif n_a > 1:
+                best = q[lo]
+                for k in range(1, n_a):
+                    if q[lo + k] > best:
+                        best = q[lo + k]
+                        a = k
+            slot = lo + a
+            if gen.random() < p[slot]:
+                s2 = dest[slot]
+                rew = r[slot]
             else:
-                a_eff = alpha
-            max_next = 0.0
-            if not done:
-                lo2 = offsets[s2]
-                hi2 = offsets[s2 + 1]
-                if hi2 > lo2:
-                    max_next = q[lo2]
-                    for k in range(lo2 + 1, hi2):
-                        if q[k] > max_next:
-                            max_next = q[k]
-            q[slot] = q[slot] + a_eff * (rew + gamma * max_next - q[slot])
-        else:
-            out_next[steps] = s2
-        total += rew
-        steps += 1
-        s = s2
-        if done:
-            reached = True
-            break
+                s2 = s
+                rew = 0.0
+            done = s2 == terminal
+            if learn:
+                counts[slot] += 1.0
+                if alpha_decay > 0.0:
+                    a_eff = alpha / counts[slot] ** alpha_decay
+                else:
+                    a_eff = alpha
+                max_next = 0.0
+                if not done:
+                    lo2 = offsets[s2]
+                    hi2 = offsets[s2 + 1]
+                    if hi2 > lo2:
+                        max_next = q[lo2]
+                        if hi2 - lo2 > 1:
+                            for k in range(lo2 + 1, hi2):
+                                if q[k] > max_next:
+                                    max_next = q[k]
+                q[slot] = q[slot] + a_eff * (rew + gamma * max_next - q[slot])
+            else:
+                out_next[steps] = s2
+            total += rew
+            steps += 1
+            s = s2
+            if done:
+                reached = True
+                break
     return steps, total, reached
 
 
@@ -177,9 +192,13 @@ class Pcg64Replay:
     The replay takes words a block at a time with ``random_raw``, each block
     twice the last up to ``_MAX_BLOCK``, and converts a block's doubles in
     one vectorized step, so the generator runs ahead of what was used.
-    :meth:`sync` puts it back where numpy's own draws would have left it;
-    until then, nothing else may draw from the generator.
+    ``random`` is the ``__next__`` of an ``itertools.chain`` over those
+    blocks, so a draw enters Python only when a block runs out.
+    :meth:`sync` puts the generator back where numpy's own draws would have
+    left it; until then, nothing else may draw from the generator.
     """
+
+    random: Callable[[], float]
 
     def __init__(self, gen: np.random.Generator):
         self._bg = gen.bit_generator
@@ -188,34 +207,20 @@ class Pcg64Replay:
     def _start(self, state: dict) -> None:
         self._has32 = state["has_uint32"]
         self._u32 = state["uinteger"]
-        self._block = _FIRST_BLOCK
-        self._raw = np.empty(0, dtype=np.uint64)
-        self._doubles = iter(())
-        self._next_double = self._doubles.__next__
-
-    def _refill(self) -> float:
-        raw = self._raw = self._bg.random_raw(self._block)
-        self._block = min(2 * self._block, _MAX_BLOCK)
-        self._doubles = iter(((raw >> np.uint64(11)) * _TWO_M53).tolist())
-        self._next_double = self._doubles.__next__
-        return self._next_double()
-
-    def random(self) -> float:
-        try:
-            return self._next_double()
-        except StopIteration:
-            return self._refill()
+        # The current block's words and the iterator over its doubles that
+        # the chain is reading (no block yet).  The blocks see this holder,
+        # not the replay, so no cycle keeps a dropped replay alive.
+        self._current = [None, iter(())]
+        self.random = chain.from_iterable(_blocks(self._bg, self._current)).__next__
 
     def _next32(self) -> int:
         if self._has32:
             self._has32 = 0
             return self._u32
-        try:
-            self._next_double()
-        except StopIteration:
-            self._refill()
+        self.random()
+        words, doubles = self._current
         # The word behind the double just taken.
-        w = self._raw.item(-1 - self._doubles.__length_hint__())
+        w = words.item(-1 - doubles.__length_hint__())
         self._has32 = 1
         self._u32 = w >> 32
         return w & _LOW32
@@ -241,12 +246,26 @@ class Pcg64Replay:
 
         bg = self._bg
         # Step back over the block's unused words (advance wraps mod 2**128).
-        bg.advance(-self._doubles.__length_hint__())
+        bg.advance(-self._current[1].__length_hint__())
         state = bg.state
         state["has_uint32"] = self._has32
         state["uinteger"] = self._u32
         bg.state = state
         self._start(state)
+
+
+def _blocks(bg: np.random.BitGenerator, current: list) -> Iterator[Iterator[float]]:
+    """Endless blocks of doubles from ``bg``'s raw words, each twice the
+    last up to ``_MAX_BLOCK``; each block's words and iterator go into
+    ``current`` as it is handed out."""
+
+    size = _FIRST_BLOCK
+    while True:
+        words = bg.random_raw(size)
+        size = min(2 * size, _MAX_BLOCK)
+        doubles = iter(((words >> np.uint64(11)) * _TWO_M53).tolist())
+        current[:] = words, doubles
+        yield doubles
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +275,28 @@ class Pcg64Replay:
 episode_kernel = njit(cache=True)(_episode_loop) if HAS_NUMBA else _episode_loop
 
 
+def loop_view(a: np.ndarray):
+    """What the loop indexes in place of ``a``: the array itself under
+    numba; on numpy a list copy, about twice as fast to index, so what the
+    loop writes lands in the list."""
+
+    return a if HAS_NUMBA else a.tolist()
+
+
 def loop_inputs(
     arrays: tuple[np.ndarray, ...], gen: np.random.Generator
 ) -> tuple[tuple, object, Callable[[], None]]:
     """What the loop runs over for this backend: ``(views, draws, sync)``.
 
-    ``views`` are the sequences it indexes: the arrays themselves under
-    numba; on numpy a list copy of each, about twice as fast to index, so
-    what the loop writes lands in the list.  ``draws`` is what it draws
-    from: on numpy a :class:`Pcg64Replay` of a Generator over exactly
-    ``PCG64``, otherwise ``gen`` itself.  ``sync()`` settles ``gen`` where
-    numpy's own draws would have left it; it does nothing when ``gen``
-    drew for itself.
+    ``views`` are the :func:`loop_view` of each array.  ``draws`` is what
+    the loop draws from: on numpy a :class:`Pcg64Replay` of a Generator
+    over exactly ``PCG64``, otherwise ``gen`` itself.  ``sync()`` settles
+    ``gen`` where numpy's own draws would have left it; it does nothing
+    when ``gen`` drew for itself.
     """
 
-    if not HAS_NUMBA:
-        arrays = tuple(a.tolist() for a in arrays)
-        if type(gen.bit_generator) is np.random.PCG64:
-            replay = Pcg64Replay(gen)
-            return arrays, replay, replay.sync
-    return arrays, gen, lambda: None
+    views = tuple(map(loop_view, arrays))
+    if not HAS_NUMBA and type(gen.bit_generator) is np.random.PCG64:
+        replay = Pcg64Replay(gen)
+        return views, replay, replay.sync
+    return views, gen, lambda: None

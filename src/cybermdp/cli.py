@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -503,6 +504,10 @@ def _add_train_flags(p: argparse.ArgumentParser, mode_default: str | None) -> No
     )
 
 
+# Built once per process: a parser is a web of reference cycles that only
+# the cyclic collector frees, and one per call would pile up garbage, and
+# peak memory, in a process that calls main many times.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cybermdp",

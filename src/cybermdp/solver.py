@@ -11,29 +11,31 @@ curve.  All randomness derives from named, purpose-split streams of the one
 configured seed, so a run is exactly repeatable.
 
 :func:`train` runs that protocol once for both algorithms; each supplies
-only how to play one training episode and how to read out its per-slot
-action values.  ``tabular`` keeps one value per action slot and plays its
-training episodes in the episode loop of ``_kernels``; ``dqn`` trains the
-plain-numpy network from :mod:`cybermdp.network` with uniform experience
-replay (a ring buffer, so eviction is oldest-first), a target frozen at
-each hard sync as the network's greedy state values (one value per state,
-read with :func:`~cybermdp.mdp.state_values`, a gather per step) and
-row-sparse vanilla SGD (only the first-layer rows of the batch's states
-change); it raises :class:`~cybermdp.mdp.ConvergenceError` once its values
-go non-finite.  Either way the result is a
+only how to play a run of training episodes, one per exploration rate,
+and how to read out its per-slot action values.  ``tabular`` keeps one
+value per action slot and plays each evaluation interval's episodes in one
+call of the episode loop of ``_kernels``; ``dqn`` plays them one by one,
+training the plain-numpy network from :mod:`cybermdp.network` with uniform
+experience replay (a ring buffer, so eviction is oldest-first), a target
+frozen at each hard sync as the network's greedy state values (one value
+per state, read with :func:`~cybermdp.mdp.state_values`, a gather per
+step) and row-sparse vanilla SGD (only the first-layer rows of the batch's
+states change); it raises :class:`~cybermdp.mdp.ConvergenceError` once its
+values go non-finite.  Either way the result is a
 :class:`TabularQ`: the trained network's values are read out into the same
 per-slot layout, and :func:`rollout_greedy` plays either one's greedy
 episode through that same episode loop, with learning off, as an
 :class:`EpisodeTrace` of named states.  Training curves and
-:mod:`cybermdp.evaluate` both use it.
+:mod:`cybermdp.evaluate` both use its body.
 
 The loop runs over what ``_kernels`` picks for the backend.  On the numpy
 fallback that is lists of the process's arrays and of the values, and a
 replay of the generator's raw PCG64 words in place of its scalar draws:
-one replay spans a whole tabular training run, one more each greedy
-rollout.  A rollout settles its generator where numpy's own draws would
-have left it, because its caller may draw from it again; a training run
-does not, because nothing draws from its private stream afterwards.  A
+one replay spans a whole tabular training run, one more all of a run's
+evaluation rollouts, and one more each public greedy rollout.  A public
+rollout settles its generator where numpy's own draws would have left it,
+because its caller may draw from it again; a training run does not settle
+its private streams, because nothing draws from them afterwards.  A
 Generator over another bit generator draws for itself.
 """
 
@@ -123,10 +125,11 @@ class TrainConfig:
             span = max(1, int(round(0.8 * self.episodes)))
         object.__setattr__(self, "_epsilon_span", span)
 
-    def epsilon_at(self, episode: int) -> float:
-        """Exploration rate for a 0-based episode index."""
+    def epsilon_at(self, episode: int | np.ndarray) -> float | np.ndarray:
+        """Exploration rate for a 0-based episode index, or the array of
+        rates for an integer array of them."""
 
-        frac = min(1.0, episode / self._epsilon_span)
+        frac = np.minimum(1.0, episode / self._epsilon_span)
         return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
 
 
@@ -211,6 +214,11 @@ def _streams(seed: int) -> tuple[np.random.Generator, ...]:
 # a greedy rollout counts no visits, a training episode records no landings.
 _NO_COUNTS = np.empty(0, dtype=np.float64)
 _NO_LANDINGS = np.empty(0, dtype=np.int64)
+# A greedy rollout is one episode, whose epsilon the loop never reads.
+_ONE_EPISODE = _kernels.loop_view(np.zeros(1))
+# At most this many training episodes per learner call, so that a chunk's
+# epsilons stay small whatever the evaluation interval.
+_MAX_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -248,39 +256,61 @@ def rollout_greedy(
         raise ValueError(
             f"expected {mdp.num_action_slots} per-slot values, got shape {q_values.shape}"
         )
+    play, sync = _greedy_player(mdp, rng, max_steps)
+    landings, total, reached = play(q_values)
+    sync()
+    visited = (mdp.initial_state, *landings.tolist()) if len(landings) else ()
+    # Through a list: tuple() over a generator grows by reallocation.
+    return EpisodeTrace(tuple([mdp.states[s] for s in visited]), total, reached)
+
+
+def _greedy_player(
+    mdp: Mdp, rng: np.random.Generator, max_steps: int
+) -> tuple[Callable[[np.ndarray], tuple[np.ndarray, float, bool]], Callable[[], None]]:
+    """The body of :func:`rollout_greedy` over inputs prepared once:
+    ``(play, sync)``.
+
+    ``play(q_values)`` plays one greedy episode under writable per-slot
+    values and returns ``(landings, total_reward, reached_terminal)``; the
+    landings are a view that the next call overwrites.  Every call reads
+    the same views of the process and draws on from the same source, so a
+    run of calls draws what as many rollouts settled in turn would.
+    ``sync()`` settles ``rng`` as :func:`~cybermdp._kernels.loop_inputs`
+    describes.
+    """
+
     try:
         landings = np.empty(max_steps, dtype=np.int64)
     except MemoryError:
         raise ValueError(
             f"max_steps {max_steps} is too large: no memory to record that many landings"
         ) from None
-    (offsets, dest, p, r, q_values), draws, sync = _kernels.loop_inputs(
-        (mdp.action_offsets, mdp.action_dest, mdp.action_success, mdp.action_reward, q_values),
-        rng,
+    (offsets, dest, p, r), draws, sync = _kernels.loop_inputs(
+        (mdp.action_offsets, mdp.action_dest, mdp.action_success, mdp.action_reward), rng
     )
-    steps, total, reached = _kernels.episode_kernel(
-        offsets,
-        dest,
-        p,
-        r,
-        mdp.gamma,
-        mdp.terminal_state,
-        mdp.initial_state,
-        max_steps,
-        q_values,
-        _NO_COUNTS,
-        0.0,
-        0.0,
-        0.0,
-        False,
-        draws,
-        landings,
-    )
-    sync()
-    visited = (mdp.initial_state, *landings[:steps].tolist()) if steps else ()
-    # Through a list: tuple() over a generator grows by reallocation, which
-    # raised peak RSS once every training evaluation named its states.
-    return EpisodeTrace(tuple([mdp.states[s] for s in visited]), float(total), bool(reached))
+
+    def play(q_values: np.ndarray) -> tuple[np.ndarray, float, bool]:
+        steps, total, reached = _kernels.episode_kernel(
+            offsets,
+            dest,
+            p,
+            r,
+            mdp.gamma,
+            mdp.terminal_state,
+            mdp.initial_state,
+            max_steps,
+            _kernels.loop_view(q_values),
+            _NO_COUNTS,
+            0.0,
+            0.0,
+            _ONE_EPISODE,
+            False,
+            draws,
+            landings,
+        )
+        return landings[:steps], float(total), bool(reached)
+
+    return play, sync
 
 
 def _network_slot_values(mdp: Mdp, net: QNetwork) -> np.ndarray:
@@ -300,7 +330,7 @@ def _tabular_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[C
         rng_train,
     )
 
-    def episode(epsilon: float) -> None:
+    def play(epsilons: np.ndarray) -> None:
         _kernels.episode_kernel(
             offsets,
             dest,
@@ -314,7 +344,7 @@ def _tabular_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[C
             counts,
             cfg.learning_rate,
             cfg.learning_rate_decay,
-            epsilon,
+            _kernels.loop_view(epsilons),
             True,
             draws,
             _NO_LANDINGS,
@@ -323,7 +353,7 @@ def _tabular_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[C
     def slot_values(episodes_done: int) -> np.ndarray:
         return np.array(q, dtype=np.float64)
 
-    return episode, slot_values
+    return play, slot_values
 
 
 def _dqn_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Callable, Callable]:
@@ -348,41 +378,42 @@ def _dqn_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Calla
     )
     steps_done = 0
 
-    def episode(epsilon: float) -> None:
+    def play(epsilons: np.ndarray) -> None:
         nonlocal steps_done, target
-        s = mdp.initial_state
-        for _ in range(cfg.max_steps_per_episode):
-            n_a = counts[s]
-            if n_a == 0:
-                break
-            # Epsilon-greedy; the network row is read only to exploit.
-            if rng_train.random() < epsilon:
-                a = int(rng_train.integers(0, n_a))
-            else:
-                a = int(np.argmax(net.q_row(s)[:n_a]))
-            slot = offsets[s] + a
-            if rng_train.random() < success[slot]:
-                s2 = dest[slot]
-                reward = reward_of[slot]
-            else:
-                s2 = s
-                reward = 0.0
-            done = s2 == mdp.terminal_state
-            replay.push(s, a, reward, s2, done)
-            if len(replay) >= cfg.batch_size:
-                states, actions, rewards, next_states, dones = replay.sample(
-                    cfg.batch_size, rng_train
-                )
-                _, grads = td_loss_and_gradients(
-                    net, target, states, actions, rewards, next_states, dones, mdp.gamma
-                )
-                sgd_step(net, grads, cfg.learning_rate)
-            steps_done += 1
-            if steps_done % cfg.target_sync_interval == 0:
-                target = state_values(mdp, _network_slot_values(mdp, net))
-            s = s2
-            if done:
-                break
+        for epsilon in epsilons.tolist():
+            s = mdp.initial_state
+            for _ in range(cfg.max_steps_per_episode):
+                n_a = counts[s]
+                if n_a == 0:
+                    break
+                # Epsilon-greedy; the network row is read only to exploit.
+                if rng_train.random() < epsilon:
+                    a = int(rng_train.integers(0, n_a))
+                else:
+                    a = int(np.argmax(net.q_row(s)[:n_a]))
+                slot = offsets[s] + a
+                if rng_train.random() < success[slot]:
+                    s2 = dest[slot]
+                    reward = reward_of[slot]
+                else:
+                    s2 = s
+                    reward = 0.0
+                done = s2 == mdp.terminal_state
+                replay.push(s, a, reward, s2, done)
+                if len(replay) >= cfg.batch_size:
+                    states, actions, rewards, next_states, dones = replay.sample(
+                        cfg.batch_size, rng_train
+                    )
+                    _, grads = td_loss_and_gradients(
+                        net, target, states, actions, rewards, next_states, dones, mdp.gamma
+                    )
+                    sgd_step(net, grads, cfg.learning_rate)
+                steps_done += 1
+                if steps_done % cfg.target_sync_interval == 0:
+                    target = state_values(mdp, _network_slot_values(mdp, net))
+                s = s2
+                if done:
+                    break
 
     def finite_slot_values(episodes_done: int) -> np.ndarray:
         values = _network_slot_values(mdp, net)
@@ -391,28 +422,37 @@ def _dqn_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Calla
             raise ConvergenceError(message, residual=float("nan"))
         return values
 
-    return episode, finite_slot_values
+    return play, finite_slot_values
 
 
 def train(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
     """Train one agent on one process under the shared episode protocol.
 
-    The algorithm supplies ``episode(epsilon)``, which plays and learns from
-    one training episode, and ``slot_values(episodes_done)``, its current
-    per-slot action values; the schedule, the evaluation cadence, the curve
-    and the final read-out are the same for both.
+    The algorithm supplies ``play(epsilons)``, which plays and learns from
+    one training episode per given exploration rate, in order, and
+    ``slot_values(episodes_done)``, its current per-slot action values; the
+    schedule, the evaluation cadence, the curve and the final read-out are
+    the same for both.  Training runs in chunks that end at each
+    evaluation (or after ``_MAX_CHUNK`` episodes), with the chunk's rates
+    from ``cfg.epsilon_at``.  Every evaluation is a greedy rollout over
+    the same prepared inputs and draws on from the private evaluation
+    stream, which is never settled: nothing draws from it afterwards.
     """
 
     rng_init, rng_train, rng_eval = _streams(cfg.seed)
     learner = _tabular_learner if cfg.algorithm == "tabular" else _dqn_learner
-    episode, slot_values = learner(mdp, cfg, rng_init, rng_train)
+    play, slot_values = learner(mdp, cfg, rng_init, rng_train)
+    play_greedy, _ = _greedy_player(mdp, rng_eval, cfg.max_steps_per_episode)
     curve: list[tuple[int, float]] = []
-    for e in range(cfg.episodes):
-        episode(cfg.epsilon_at(e))
-        if (e + 1) % cfg.eval_interval == 0:
-            values = TabularQ(mdp.action_offsets, slot_values(e + 1))
-            trace = rollout_greedy(mdp, values, rng_eval, cfg.max_steps_per_episode)
-            curve.append((e + 1, trace.total_reward))
+    played = 0
+    while played < cfg.episodes:
+        next_eval = (played // cfg.eval_interval + 1) * cfg.eval_interval
+        stop = min(next_eval, cfg.episodes, played + _MAX_CHUNK)
+        play(cfg.epsilon_at(np.arange(played, stop)))
+        played = stop
+        if played == next_eval:
+            _, total, _ = play_greedy(slot_values(played))
+            curve.append((played, total))
     q = slot_values(cfg.episodes)
     q.setflags(write=False)
     return TrainResult(

@@ -4,15 +4,18 @@ The numba and numpy backends must be bit-identical, not merely close: the
 same seeds must yield the same artifacts regardless of which backend built
 them.  These tests compare the compiled episode dispatcher against its pure
 Python twin, the numpy backend's lists and PCG64 replay against arrays and
-the Generator, and value iteration's vectorized backup against the scalar
-sweep in oracles.py.
+the Generator, a run of episodes in one loop call against one call per
+episode, and value iteration's vectorized backup against the scalar sweep
+in oracles.py.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cybermdp import _kernels
+from cybermdp import _kernels, solver
 from conftest import make_mdp
 from cybermdp._kernels import Pcg64Replay, _episode_loop
-from cybermdp.mdp import build_cvss_mdp, value_iteration
+from cybermdp.mdp import Mdp, build_cvss_mdp, value_iteration
 from cybermdp.netgen import TopologyParams, generate
+from cybermdp.solver import TrainConfig, train
 from oracles import scalar_value_iteration
 
 needs_numba = pytest.mark.skipif(
@@ -93,7 +97,7 @@ def play(kernel, mdp, learn, draws, views=lambda *arrays: arrays):
         landings = np.zeros(200, dtype=np.int64)
         steps, total, reached = kernel(
             offsets, dest, p, r, 0.9, mdp.terminal_state, mdp.initial_state,
-            200, q, counts, 0.3, 0.5, 0.4, learn, draws(episode), landings,
+            200, q, counts, 0.3, 0.5, np.array([0.4]), learn, draws(episode), landings,
         )
         record.append((steps, float(total).hex(), reached, landings.tolist()))
     return record, np.array(q).tobytes(), np.array(counts).tobytes()
@@ -178,6 +182,52 @@ class TestPcg64Replay:
         replay.sync()
         assert gen.bit_generator.state == reference.bit_generator.state
 
+    @pytest.mark.parametrize("buffered", [None, 2**32 - 7])
+    def test_generator_draws_nothing_for_a_one_integer_range(self, buffered):
+        # What lets the loop skip its exploration draw at a lone action.
+        gen = fresh_gen(7)
+        gen.random()
+        if buffered is not None:
+            state = gen.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, buffered
+            gen.bit_generator.state = state
+        before = gen.bit_generator.state
+        assert [int(gen.integers(low, low + 1)) for low in (0, -3, 10)] == [0, -3, 10]
+        assert gen.bit_generator.state == before
+
+    def test_long_interleaved_draws_match_the_generator(self):
+        # About 5,000 words: across every block size up to _MAX_BLOCK and
+        # several blocks of it, with integers taken at block boundaries too.
+        reference, gen = fresh_gen(21), fresh_gen(21)
+        replay = Pcg64Replay(gen)
+        picker = np.random.default_rng(0)
+        ranges = [2, 3, 7, 1000, 2**31 + 1, 2**32 - 1, 2**32]
+        for _ in range(6000):
+            if picker.random() < 0.7:
+                assert replay.random() == reference.random()
+            else:
+                n = ranges[int(picker.integers(0, len(ranges)))]
+                assert replay.integers(0, n) == reference.integers(0, n)
+        replay.sync()
+        assert gen.bit_generator.state == reference.bit_generator.state
+        assert replay.random() == reference.random()
+
+    def test_a_dropped_replay_is_freed_at_once(self):
+        # Nothing that the replay's chain holds refers back to it, so it
+        # goes with its last reference, not at the collector's next pass.
+        gen = fresh_gen(11)
+        gc.disable()
+        try:
+            replay = Pcg64Replay(gen)
+            for _ in range(150):  # 32 + 64 words, into the third block
+                replay.random()
+            replay.integers(0, 5)
+            alive = weakref.ref(replay)
+            del replay
+            assert alive() is None
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("n", [0, -3, 2**32 + 1])
     def test_rejects_ranges_it_cannot_replay(self, n):
         with pytest.raises(ValueError, match="ranges of 1 to 2\\*\\*32"):
@@ -201,6 +251,96 @@ class TestPcg64Replay:
             np.testing.assert_equal(gen.bit_generator.state, before)
 
 
+def random_process(seed: int) -> Mdp:
+    """3 to 9 states; each non-terminal state owns 0 to 4 slots (the
+    initial state at least one) with random destinations, success
+    probabilities and rewards, and the last state is the terminal."""
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 10))
+    actions = [
+        [
+            (int(rng.integers(0, n)), float(rng.uniform(0.2, 1.0)), float(rng.normal(0.0, 10.0)))
+            for _ in range(int(rng.integers(1 if s == 0 else 0, 5)))
+        ]
+        for s in range(n - 1)
+    ]
+    return make_mdp(states=tuple(f"s{i}" for i in range(n)), actions=[*actions, []], gamma=0.9)
+
+
+PROCESSES = [random_process(seed) for seed in range(24)]
+
+
+class TestChunkedEpisodes:
+    """One loop call over N exploration rates plays the N episodes that N
+    one-rate calls play, on whichever backend is active."""
+
+    def test_processes_hold_every_kind_of_state(self):
+        owned = np.concatenate([np.diff(m.action_offsets)[:-1] for m in PROCESSES])
+        assert {0, 1, 2, 3, 4} <= set(owned.tolist())
+
+    @pytest.mark.parametrize("alpha_decay", [0.0, 0.6])
+    @pytest.mark.parametrize("index", range(len(PROCESSES)))
+    def test_one_call_equals_one_call_per_episode(self, index, alpha_decay):
+        mdp = PROCESSES[index]
+        n = mdp.num_action_slots
+        epsilons = np.linspace(1.0, 0.05, 30)
+        runs = []
+        for chunks in ([epsilons], np.split(epsilons, len(epsilons))):
+            gen = fresh_gen(index)
+            (offsets, dest, p, r, q, counts), draws, sync = _kernels.loop_inputs(
+                (mdp.action_offsets, mdp.action_dest, mdp.action_success,
+                 mdp.action_reward, np.arange(n, dtype=np.float64) % 3, np.zeros(n)),
+                gen,
+            )
+            for chunk in chunks:
+                last = _kernels.episode_kernel(
+                    offsets, dest, p, r, mdp.gamma, mdp.terminal_state, mdp.initial_state,
+                    40, q, counts, 0.3, alpha_decay, _kernels.loop_view(chunk), True, draws,
+                    NO_LANDINGS,
+                )
+            sync()
+            runs.append((last, np.array(q).tobytes(), np.array(counts).tobytes(),
+                         gen.bit_generator.state))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "episodes, eval_interval, decay",
+        [(21, 4, None), (10, 25, None), (300, 1, 7), (9000, 9000, 100), (9001, 4500, None)],
+    )
+    def test_chunk_epsilons_are_epsilon_at(self, monkeypatch, episodes, eval_interval, decay):
+        chunks = []
+        learner = solver._tabular_learner
+
+        def recording_learner(*args):
+            play, slot_values = learner(*args)
+
+            def recording_play(epsilons):
+                chunks.append(epsilons.copy())
+                play(epsilons)
+
+            return recording_play, slot_values
+
+        monkeypatch.setattr(solver, "_tabular_learner", recording_learner)
+        cfg = TrainConfig(episodes=episodes, eval_interval=eval_interval,
+                          epsilon_end=0.2, epsilon_decay_episodes=decay)
+        mdp = make_mdp(states=("a", "t"), actions=[[(1, 1.0, 1.0)], []], gamma=0.9)
+        result = train(mdp, cfg)
+        expected = np.array([cfg.epsilon_at(e) for e in range(episodes)], dtype=np.float64)
+        assert np.concatenate(chunks).tobytes() == expected.tobytes()
+        # Each chunk stops at the next evaluation, at the end, or after
+        # _MAX_CHUNK episodes, whichever comes first.
+        start = 0
+        for chunk in chunks:
+            stop = start + len(chunk)
+            next_eval = (start // eval_interval + 1) * eval_interval
+            assert stop == min(next_eval, episodes, start + solver._MAX_CHUNK)
+            start = stop
+        assert [e for e, _ in result.curve] == [
+            e for e in range(eval_interval, episodes + 1, eval_interval)
+        ]
+
+
 class TestEpisodeLoop:
     def test_step_cap_respected(self):
         # One action looping in place with p = 1: every step succeeds but
@@ -212,7 +352,7 @@ class TestEpisodeLoop:
         q = np.zeros(1)
         counts = np.zeros(1)
         steps, total, reached = _episode_loop(
-            offsets, dest, p, r, 0.9, 1, 0, 25, q, counts, 0.1, 0.0, 0.0,
+            offsets, dest, p, r, 0.9, 1, 0, 25, q, counts, 0.1, 0.0, [0.0],
             True, fresh_gen(0), NO_LANDINGS,
         )
         assert steps == 25
@@ -227,7 +367,7 @@ class TestEpisodeLoop:
         q = np.zeros(1)
         counts = np.zeros(1)
         steps, total, reached = _episode_loop(
-            offsets, dest, p, r, 0.9, 1, 0, 25, q, counts, 1.0, 0.0, 0.0,
+            offsets, dest, p, r, 0.9, 1, 0, 25, q, counts, 1.0, 0.0, [0.0],
             True, fresh_gen(0), NO_LANDINGS,
         )
         assert (steps, total, reached) == (1, 100.0, True)
@@ -241,7 +381,7 @@ class TestEpisodeLoop:
         q = np.zeros(1)
         counts = np.zeros(1)
         _episode_loop(
-            offsets, dest, p, r, 0.0, 1, 0, 3, q, counts, 1.0, 1.0, 0.0,
+            offsets, dest, p, r, 0.0, 1, 0, 3, q, counts, 1.0, 1.0, [0.0],
             True, fresh_gen(0), NO_LANDINGS,
         )
         # alpha_eff = 1/n per visit with gamma 0: q converges on the running
@@ -257,7 +397,7 @@ class TestEpisodeLoop:
         q = np.zeros(1)
         counts = np.zeros(1)
         steps, total, reached = _episode_loop(
-            offsets, dest, p, r, 0.9, 2, 0, 50, q, counts, 0.5, 0.0, 0.0,
+            offsets, dest, p, r, 0.9, 2, 0, 50, q, counts, 0.5, 0.0, [0.0],
             True, fresh_gen(0), NO_LANDINGS,
         )
         # lands in the action-less state 1 and stops there.
@@ -276,7 +416,7 @@ class TestRolloutLoop:
         q = np.zeros(2)  # tie: slot 0 wins, loops forever
         landings = np.empty(10, dtype=np.int64)
         steps, total, reached = _episode_loop(
-            offsets, dest, p, r, 0.9, 1, 0, 10, q, np.zeros(2), 0.5, 0.0, 1.0,
+            offsets, dest, p, r, 0.9, 1, 0, 10, q, np.zeros(2), 0.5, 0.0, [1.0],
             False, fresh_gen(0), landings,
         )
         assert steps == 10 and reached is False
@@ -294,7 +434,7 @@ class TestRolloutLoop:
         gen = fresh_gen(3)
         expected_draws = [fresh_gen(3).random() for _ in range(50)]
         steps, total, reached = _episode_loop(
-            offsets, dest, p, r, 0.9, 1, 0, 50, q, counts, 0.5, 0.0, 1.0,
+            offsets, dest, p, r, 0.9, 1, 0, 50, q, counts, 0.5, 0.0, [1.0],
             False, gen, landings,
         )
         # Count of failures before the first success must match the raw

@@ -112,7 +112,7 @@ def one_update(q, reward, alpha, gamma, terminal):
         np.array([1, 2], dtype=np.int64),
         np.array([1.0, 1.0]),
         np.array([reward, 0.0]),
-        gamma, terminal, 0, 1, q, np.zeros(2), alpha, 0.0, 0.0, True,
+        gamma, terminal, 0, 1, q, np.zeros(2), alpha, 0.0, [0.0], True,
         np.random.default_rng(0), np.empty(0, dtype=np.int64),
     )
     return q[0]
