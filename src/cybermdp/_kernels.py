@@ -23,18 +23,19 @@ backend.
 Backend selection happens once at import via the ``CYBERMDP_BACKEND``
 environment variable: ``numba`` (default, falls back silently if numba is
 not importable) compiles the loop with ``@njit`` and runs it over the
-arrays with the caller's Generator; ``numpy`` runs it as plain Python over
-lists, which index about twice as fast as ndarrays, and, for a Generator
-over ``PCG64``, draws from a :class:`Pcg64Replay` of that generator's raw
-words instead of its scalar methods; the replay's ``random`` is C code
-(an ``itertools.chain`` over blocks of converted words), so a uniform draw
-enters Python only once per block.  Other bit generators draw for
-themselves.  :func:`loop_view` and :func:`loop_inputs` are that choice,
-made once here for every caller.  Both backends produce bit-identical
-results for the same seeds, because numba's Generator methods and the
-replay reproduce numpy's streams exactly; test_kernels.py compares the
-compiled dispatcher with its Python twin, and the list-and-replay run with
-the array-and-Generator run.
+arrays; ``numpy`` runs it as plain Python over lists, which index about
+twice as fast as ndarrays.  A greedy rollout draws from the caller's
+Generator on both backends.  Tabular training on the numpy backend, for a
+Generator over ``PCG64``, draws from a :class:`Pcg64Replay` of that
+generator's raw words instead of its scalar methods; the replay's
+``random`` is C code (an ``itertools.chain`` over blocks of converted
+words), so a uniform draw enters Python only once per block.
+:func:`loop_view` and :func:`loop_inputs` are that choice, made once here
+for every caller.  Both backends produce bit-identical results for the
+same seeds, because numba's Generator methods and the replay reproduce
+numpy's streams exactly; test_kernels.py compares the compiled dispatcher
+with its Python twin, and the list-and-replay run with the
+array-and-Generator run.
 """
 
 from __future__ import annotations
@@ -168,11 +169,8 @@ def _episode_loop(
 _TWO_M53 = 1.0 / 9007199254740992.0
 _TWO_32 = 1 << 32
 _LOW32 = _TWO_32 - 1
-# Words drawn and converted at a time: a block twice the last, from a
-# first one that a short rollout barely overshoots, up to one large enough
-# to amortise the conversion.
-_FIRST_BLOCK = 32
-_MAX_BLOCK = 1024
+# Words drawn and converted at a time: enough to amortise the conversion.
+_BLOCK = 1024
 
 
 class Pcg64Replay:
@@ -189,29 +187,26 @@ class Pcg64Replay:
     Random Integer Generation in an Interval*).  ``n = 1`` draws nothing and
     ``n = 2**32`` takes one half-word as it is.
 
-    The replay takes words a block at a time with ``random_raw``, each block
-    twice the last up to ``_MAX_BLOCK``, and converts a block's doubles in
-    one vectorized step, so the generator runs ahead of what was used.
-    ``random`` is the ``__next__`` of an ``itertools.chain`` over those
-    blocks, so a draw enters Python only when a block runs out.
-    :meth:`sync` puts the generator back where numpy's own draws would have
-    left it; until then, nothing else may draw from the generator.
+    The replay takes ``_BLOCK`` words at a time with ``random_raw`` and
+    converts a block's doubles in one vectorized step, so the generator
+    runs ahead of what was used: once replayed, a generator is the
+    replay's alone.  ``random`` is the ``__next__`` of an
+    ``itertools.chain`` over those blocks, so a draw enters Python only
+    when a block runs out.
     """
 
     random: Callable[[], float]
 
     def __init__(self, gen: np.random.Generator):
-        self._bg = gen.bit_generator
-        self._start(self._bg.state)
-
-    def _start(self, state: dict) -> None:
+        bg = gen.bit_generator
+        state = bg.state
         self._has32 = state["has_uint32"]
         self._u32 = state["uinteger"]
         # The current block's words and the iterator over its doubles that
         # the chain is reading (no block yet).  The blocks see this holder,
         # not the replay, so no cycle keeps a dropped replay alive.
         self._current = [None, iter(())]
-        self.random = chain.from_iterable(_blocks(self._bg, self._current)).__next__
+        self.random = chain.from_iterable(_blocks(bg, self._current)).__next__
 
     def _next32(self) -> int:
         if self._has32:
@@ -240,29 +235,14 @@ class Pcg64Replay:
             return low + self._next32()
         raise ValueError(f"the replay draws from ranges of 1 to 2**32 integers, not {n}")
 
-    def sync(self) -> None:
-        """Leave the generator where numpy's own draws would have; the
-        replay may go on drawing from there."""
-
-        bg = self._bg
-        # Step back over the block's unused words (advance wraps mod 2**128).
-        bg.advance(-self._current[1].__length_hint__())
-        state = bg.state
-        state["has_uint32"] = self._has32
-        state["uinteger"] = self._u32
-        bg.state = state
-        self._start(state)
-
 
 def _blocks(bg: np.random.BitGenerator, current: list) -> Iterator[Iterator[float]]:
-    """Endless blocks of doubles from ``bg``'s raw words, each twice the
-    last up to ``_MAX_BLOCK``; each block's words and iterator go into
-    ``current`` as it is handed out."""
+    """Endless blocks of doubles from ``_BLOCK`` of ``bg``'s raw words at a
+    time; each block's words and iterator go into ``current`` as it is
+    handed out."""
 
-    size = _FIRST_BLOCK
     while True:
-        words = bg.random_raw(size)
-        size = min(2 * size, _MAX_BLOCK)
+        words = bg.random_raw(_BLOCK)
         doubles = iter(((words >> np.uint64(11)) * _TWO_M53).tolist())
         current[:] = words, doubles
         yield doubles
@@ -285,18 +265,15 @@ def loop_view(a: np.ndarray):
 
 def loop_inputs(
     arrays: tuple[np.ndarray, ...], gen: np.random.Generator
-) -> tuple[tuple, object, Callable[[], None]]:
-    """What the loop runs over for this backend: ``(views, draws, sync)``.
+) -> tuple[tuple, object]:
+    """What a training loop runs over for this backend: ``(views, draws)``.
 
     ``views`` are the :func:`loop_view` of each array.  ``draws`` is what
     the loop draws from: on numpy a :class:`Pcg64Replay` of a Generator
-    over exactly ``PCG64``, otherwise ``gen`` itself.  ``sync()`` settles
-    ``gen`` where numpy's own draws would have left it; it does nothing
-    when ``gen`` drew for itself.
+    over exactly ``PCG64``, otherwise ``gen`` itself.
     """
 
     views = tuple(map(loop_view, arrays))
     if not HAS_NUMBA and type(gen.bit_generator) is np.random.PCG64:
-        replay = Pcg64Replay(gen)
-        return views, replay, replay.sync
-    return views, gen, lambda: None
+        return views, Pcg64Replay(gen)
+    return views, gen

@@ -29,14 +29,10 @@ episode through that same episode loop, with learning off, as an
 :mod:`cybermdp.evaluate` both use its body.
 
 The loop runs over what ``_kernels`` picks for the backend.  On the numpy
-fallback that is lists of the process's arrays and of the values, and a
-replay of the generator's raw PCG64 words in place of its scalar draws:
-one replay spans a whole tabular training run, one more all of a run's
-evaluation rollouts, and one more each public greedy rollout.  A public
-rollout settles its generator where numpy's own draws would have left it,
-because its caller may draw from it again; a training run does not settle
-its private streams, because nothing draws from them afterwards.  A
-Generator over another bit generator draws for itself.
+fallback that is lists of the process's arrays and of the values; a
+tabular training run draws from one replay of its private stream's raw
+PCG64 words in place of the Generator's scalar draws, and every greedy
+rollout draws from its Generator itself.
 """
 
 from __future__ import annotations
@@ -256,9 +252,7 @@ def rollout_greedy(
         raise ValueError(
             f"expected {mdp.num_action_slots} per-slot values, got shape {q_values.shape}"
         )
-    play, sync = _greedy_player(mdp, rng, max_steps)
-    landings, total, reached = play(q_values)
-    sync()
+    landings, total, reached = _greedy_player(mdp, rng, max_steps)(q_values)
     visited = (mdp.initial_state, *landings.tolist()) if len(landings) else ()
     # Through a list: tuple() over a generator grows by reallocation.
     return EpisodeTrace(tuple([mdp.states[s] for s in visited]), total, reached)
@@ -266,17 +260,13 @@ def rollout_greedy(
 
 def _greedy_player(
     mdp: Mdp, rng: np.random.Generator, max_steps: int
-) -> tuple[Callable[[np.ndarray], tuple[np.ndarray, float, bool]], Callable[[], None]]:
-    """The body of :func:`rollout_greedy` over inputs prepared once:
-    ``(play, sync)``.
+) -> Callable[[np.ndarray], tuple[np.ndarray, float, bool]]:
+    """The body of :func:`rollout_greedy` over inputs prepared once.
 
     ``play(q_values)`` plays one greedy episode under writable per-slot
     values and returns ``(landings, total_reward, reached_terminal)``; the
     landings are a view that the next call overwrites.  Every call reads
-    the same views of the process and draws on from the same source, so a
-    run of calls draws what as many rollouts settled in turn would.
-    ``sync()`` settles ``rng`` as :func:`~cybermdp._kernels.loop_inputs`
-    describes.
+    the same views of the process and draws on from ``rng``.
     """
 
     try:
@@ -285,8 +275,9 @@ def _greedy_player(
         raise ValueError(
             f"max_steps {max_steps} is too large: no memory to record that many landings"
         ) from None
-    (offsets, dest, p, r), draws, sync = _kernels.loop_inputs(
-        (mdp.action_offsets, mdp.action_dest, mdp.action_success, mdp.action_reward), rng
+    offsets, dest, p, r = map(
+        _kernels.loop_view,
+        (mdp.action_offsets, mdp.action_dest, mdp.action_success, mdp.action_reward),
     )
 
     def play(q_values: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -305,12 +296,12 @@ def _greedy_player(
             0.0,
             _ONE_EPISODE,
             False,
-            draws,
+            rng,
             landings,
         )
         return landings[:steps], float(total), bool(reached)
 
-    return play, sync
+    return play
 
 
 def _network_slot_values(mdp: Mdp, net: QNetwork) -> np.ndarray:
@@ -322,9 +313,8 @@ def _network_slot_values(mdp: Mdp, net: QNetwork) -> np.ndarray:
 
 def _tabular_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Callable, Callable]:
     n = mdp.num_action_slots
-    # One replay spans the run and is never settled: nothing draws from
-    # rng_train once training is over.
-    (offsets, dest, p, r, q, counts), draws, _ = _kernels.loop_inputs(
+    # One replay spans the run: nothing else draws from rng_train.
+    (offsets, dest, p, r, q, counts), draws = _kernels.loop_inputs(
         (mdp.action_offsets, mdp.action_dest, mdp.action_success, mdp.action_reward,
          np.zeros(n), np.zeros(n)),
         rng_train,
@@ -436,13 +426,13 @@ def train(mdp: Mdp, cfg: TrainConfig) -> TrainResult:
     evaluation (or after ``_MAX_CHUNK`` episodes), with the chunk's rates
     from ``cfg.epsilon_at``.  Every evaluation is a greedy rollout over
     the same prepared inputs and draws on from the private evaluation
-    stream, which is never settled: nothing draws from it afterwards.
+    stream.
     """
 
     rng_init, rng_train, rng_eval = _streams(cfg.seed)
     learner = _tabular_learner if cfg.algorithm == "tabular" else _dqn_learner
     play, slot_values = learner(mdp, cfg, rng_init, rng_train)
-    play_greedy, _ = _greedy_player(mdp, rng_eval, cfg.max_steps_per_episode)
+    play_greedy = _greedy_player(mdp, rng_eval, cfg.max_steps_per_episode)
     curve: list[tuple[int, float]] = []
     played = 0
     while played < cfg.episodes:

@@ -19,6 +19,7 @@ from cybermdp.evaluate import (
 )
 from cybermdp.graph import PROTOCOL_ORDER, Protocol
 from cybermdp.mdp import build_cvss_mdp, value_iteration
+from cybermdp.netgen import TopologyParams, generate
 from cybermdp.solver import EpisodeTrace, TabularQ, TrainConfig, train
 from cybermdp.terrain import TerrainConfig, TerrainMode
 
@@ -145,16 +146,16 @@ class TestRolloutGreedy:
     @pytest.mark.parametrize(
         "bit_generator, visited, next_draw",
         [
+            (np.random.PCG64, "aaaabbbccccccccccccccccct", 0.03568027877359614),
             (np.random.Philox, "aaaabccccccccct", 0.1403724061942908),
             (np.random.MT19937, "aaabbbbbbbbbbct", 0.32459404575992135),
         ],
     )
-    def test_other_bit_generators_draw_from_the_generator(
-        self, bit_generator, visited, next_draw
-    ):
-        # Only a PCG64 stream is replayed; any other Generator plays its own
-        # scalar draws, so these rollouts and the draw after them are the
-        # ones the loop always made.
+    def test_rollouts_draw_from_the_generator(self, bit_generator, visited, next_draw):
+        # A rollout plays the Generator's own scalar draws, whatever its bit
+        # generator, so these rollouts and the draw after them are the ones
+        # the loop always made, and the caller draws on from where they
+        # left it.
         mdp = make_mdp(
             states=("a", "b", "c", "t"),
             actions=[[(1, 0.3, 1.5)], [(2, 0.2, 2.25), (0, 1.0, 0.5)], [(3, 0.1, 100.0)], []],
@@ -182,6 +183,62 @@ class TestRolloutGreedy:
         q = TabularQ(action_offsets=mdp.action_offsets, values=np.zeros(length))
         with pytest.raises(ValueError, match="9 per-slot values"):
             rollout_greedy(mdp, q, np.random.default_rng(0))
+
+
+def random_policy(mdp, rng) -> tuple[dict[int, int], np.ndarray]:
+    """A random deterministic policy, ``{state: chosen slot}``, and per-slot
+    values that encode it: 1.0 on the chosen slot, and on one higher slot
+    of the same state when there is one, so that only the lowest-index
+    tie-break picks the chosen slot; 0.0 elsewhere."""
+
+    offsets = mdp.action_offsets.tolist()
+    chosen = {}
+    values = np.zeros(mdp.num_action_slots)
+    for s, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        if hi > lo:
+            chosen[s] = k = lo + int(rng.integers(0, hi - lo))
+            values[k] = 1.0
+            if k + 1 < hi:
+                values[int(rng.integers(k + 1, hi))] = 1.0
+    return chosen, values
+
+
+class TestRolloutPlaysTheArrays:
+    """A greedy rollout plays the process that ``slot_values`` solves:
+    success moves to the slot's destination and pays its reward, failure
+    stays put for nothing, and greedy ties go to the lowest index."""
+
+    def test_landings_and_rewards_follow_the_chosen_slots(self):
+        bad_landings, bad_totals, reaching, ties = [], [], 0, 0
+        for seed in range(50):
+            mdp = build_cvss_mdp(generate(TopologyParams(2, 4, 0.4, 2, 0.5, seed=seed)))
+            rng = np.random.default_rng(seed)
+            chosen, values = random_policy(mdp, rng)
+            ties += int(np.count_nonzero(values)) - len(chosen)
+            q = TabularQ(action_offsets=mdp.action_offsets, values=values)
+            index = {name: i for i, name in enumerate(mdp.states)}
+            for rollout in range(20):
+                trace = rollout_greedy(mdp, q, rng, max_steps=500)
+                path = [index[name] for name in trace.visited]
+                total = 0.0
+                for s, s2 in zip(path, path[1:]):
+                    slot = chosen[s]
+                    if s2 not in (s, mdp.action_dest[slot]):
+                        bad_landings.append((seed, rollout, s, s2))
+                    if s2 != s:
+                        total += mdp.action_reward[slot]
+                # A chosen self-loop, where success and failure look alike,
+                # holds its rollout until the cap, so no reaching rollout
+                # passes one.
+                if trace.reached_terminal:
+                    reaching += 1
+                    if trace.total_reward != total:
+                        bad_totals.append((seed, rollout, trace.total_reward, total))
+        assert reaching >= 200 and ties >= 100  # the checks below are not vacuous
+        assert not bad_landings and not bad_totals, (
+            f"{len(bad_landings)} landings off the chosen slot, "
+            f"{len(bad_totals)} totals not the sum of success rewards"
+        )
 
 
 class TestPolicySuccessPath:

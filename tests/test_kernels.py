@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from cybermdp import _kernels, solver
 from conftest import make_mdp
-from cybermdp._kernels import Pcg64Replay, _episode_loop
+from cybermdp._kernels import _BLOCK, Pcg64Replay, _episode_loop
 from cybermdp.mdp import Mdp, build_cvss_mdp, value_iteration
 from cybermdp.netgen import TopologyParams, generate
 from cybermdp.solver import TrainConfig, train
@@ -116,6 +116,13 @@ def as_lists(*arrays):
     return tuple(a.tolist() for a in arrays)
 
 
+def next_draws(draws) -> list:
+    """What the next few draws give, a half-word first: where the source
+    is left, as far as a loop can tell."""
+
+    return [int(draws.integers(0, 2**32)), draws.random(), int(draws.integers(0, 1000))]
+
+
 class TestListsAndReplay:
     """The numpy backend's loop inputs: lists and a replay of the PCG64
     stream give what arrays and the Generator's own draws give."""
@@ -130,9 +137,7 @@ class TestListsAndReplay:
         replay = Pcg64Replay(gen)
         got = play(_episode_loop, mdp, learn, lambda _: replay, as_lists)
         assert got == expected
-        replay.sync()
-        assert gen.bit_generator.state == reference.bit_generator.state
-        assert gen.random() == reference.random()
+        assert next_draws(replay) == next_draws(reference)
 
 
 # Ranges numpy draws differently: none (1), its half-word paths (small and
@@ -140,13 +145,7 @@ class TestListsAndReplay:
 # (2**32 - 1), and the unmasked half-word (2**32).
 RANGES = st.sampled_from([1, 2, 3, 7, 1000, 2**31 + 1, 2**32 - 1, 2**32])
 DRAWS = st.lists(
-    st.one_of(
-        st.just("random"),
-        st.just("sync"),
-        st.tuples(st.integers(-5, 5), RANGES),
-    ),
-    # Long enough to cross the replay's first block boundaries (32, 96 and
-    # 224 words after a sync).
+    st.one_of(st.just("random"), st.tuples(st.integers(-5, 5), RANGES)),
     max_size=300,
 )
 
@@ -160,9 +159,12 @@ class TestPcg64Replay:
     @given(
         seed=st.integers(0, 2**64 - 1),
         buffered=st.none() | st.integers(0, 2**32 - 1),
+        # Uniforms taken first, so that the listed draws start in a block's
+        # last words and cross into the next block.
+        lead=st.integers(_BLOCK - 64, _BLOCK),
         draws=DRAWS,
     )
-    def test_draws_and_state_match_the_generator(self, seed, buffered, draws):
+    def test_draws_and_state_match_the_generator(self, seed, buffered, lead, draws):
         reference, gen = fresh_gen(seed), fresh_gen(seed)
         if buffered is not None:  # a half-word left over from an earlier draw
             for g in (reference, gen):
@@ -170,17 +172,15 @@ class TestPcg64Replay:
                 state["has_uint32"], state["uinteger"] = 1, buffered
                 g.bit_generator.state = state
         replay = Pcg64Replay(gen)
+        assert [replay.random() for _ in range(lead)] == reference.random(lead).tolist()
         for draw in draws:
             if draw == "random":
                 assert replay.random() == reference.random()
-            elif draw == "sync":
-                replay.sync()
-                assert gen.bit_generator.state == reference.bit_generator.state
             else:
                 low, n = draw
                 assert replay.integers(low, low + n) == reference.integers(low, low + n)
-        replay.sync()
-        assert gen.bit_generator.state == reference.bit_generator.state
+        # The buffered half-word is state the draws above may not reveal.
+        assert next_draws(replay) == next_draws(reference)
 
     @pytest.mark.parametrize("buffered", [None, 2**32 - 7])
     def test_generator_draws_nothing_for_a_one_integer_range(self, buffered):
@@ -196,8 +196,8 @@ class TestPcg64Replay:
         assert gen.bit_generator.state == before
 
     def test_long_interleaved_draws_match_the_generator(self):
-        # About 5,000 words: across every block size up to _MAX_BLOCK and
-        # several blocks of it, with integers taken at block boundaries too.
+        # About 5,000 words: across several blocks, with integers taken at
+        # block boundaries too.
         reference, gen = fresh_gen(21), fresh_gen(21)
         replay = Pcg64Replay(gen)
         picker = np.random.default_rng(0)
@@ -208,9 +208,7 @@ class TestPcg64Replay:
             else:
                 n = ranges[int(picker.integers(0, len(ranges)))]
                 assert replay.integers(0, n) == reference.integers(0, n)
-        replay.sync()
-        assert gen.bit_generator.state == reference.bit_generator.state
-        assert replay.random() == reference.random()
+        assert next_draws(replay) == next_draws(reference)
 
     def test_a_dropped_replay_is_freed_at_once(self):
         # Nothing that the replay's chain holds refers back to it, so it
@@ -219,7 +217,7 @@ class TestPcg64Replay:
         gc.disable()
         try:
             replay = Pcg64Replay(gen)
-            for _ in range(150):  # 32 + 64 words, into the third block
+            for _ in range(_BLOCK + 50):  # into the second block
                 replay.random()
             replay.integers(0, 5)
             alive = weakref.ref(replay)
@@ -235,7 +233,7 @@ class TestPcg64Replay:
 
     def test_only_pcg64_generators_are_replayed(self):
         arrays = (np.arange(3, dtype=np.int64), np.linspace(0.0, 1.0, 4))
-        views, draws, _ = _kernels.loop_inputs(arrays, fresh_gen(0))
+        views, draws = _kernels.loop_inputs(arrays, fresh_gen(0))
         assert isinstance(draws, Pcg64Replay) is (_kernels.BACKEND == "numpy")
         if _kernels.BACKEND == "numpy":
             assert all(type(v) is list for v in views)
@@ -245,9 +243,8 @@ class TestPcg64Replay:
         for bit_generator in (np.random.Philox, np.random.MT19937, np.random.SFC64):
             gen = np.random.Generator(bit_generator(0))
             before = gen.bit_generator.state
-            _, draws, sync = _kernels.loop_inputs(arrays, gen)
+            _, draws = _kernels.loop_inputs(arrays, gen)
             assert draws is gen
-            sync()
             np.testing.assert_equal(gen.bit_generator.state, before)
 
 
@@ -288,7 +285,7 @@ class TestChunkedEpisodes:
         runs = []
         for chunks in ([epsilons], np.split(epsilons, len(epsilons))):
             gen = fresh_gen(index)
-            (offsets, dest, p, r, q, counts), draws, sync = _kernels.loop_inputs(
+            (offsets, dest, p, r, q, counts), draws = _kernels.loop_inputs(
                 (mdp.action_offsets, mdp.action_dest, mdp.action_success,
                  mdp.action_reward, np.arange(n, dtype=np.float64) % 3, np.zeros(n)),
                 gen,
@@ -299,9 +296,8 @@ class TestChunkedEpisodes:
                     40, q, counts, 0.3, alpha_decay, _kernels.loop_view(chunk), True, draws,
                     NO_LANDINGS,
                 )
-            sync()
             runs.append((last, np.array(q).tobytes(), np.array(counts).tobytes(),
-                         gen.bit_generator.state))
+                         next_draws(draws)))
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize(
