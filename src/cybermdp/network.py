@@ -9,7 +9,7 @@ the batch's states: it is returned, and applied, as those rows alone.  The
 loss takes the bootstrap as one value per state, already maximised over
 that state's admissible actions; the learner freezes it at each hard sync.
 Gradients are hand-derived and verified against central finite differences
-in the tests.
+in the tests, and the whole step bit for bit against a plainer reference.
 """
 
 from __future__ import annotations
@@ -54,22 +54,27 @@ class QNetwork:
         first is appended to it, for backprop.
         """
 
-        # Checked here because indexing would wrap a negative index.  A
-        # plain int, one state per step, skips the array conversion.
+        # Bounds are checked here, not left to the row lookup, because
+        # indexing would wrap a negative index; past the end the lookup
+        # raises IndexError itself.  A plain int, one state per step, skips
+        # the array conversion.
         if type(states) is int:
             if not 0 <= states < self.num_states:
                 raise IndexError("state index outside the state set")
         else:
             states = np.asarray(states, dtype=np.int64)
-            if states.size and not 0 <= states.min() <= states.max() < self.num_states:
+            if np.minimum.reduce(states, axis=None, initial=0) < 0:
                 raise IndexError("state index outside the state set")
-        # h is a fresh pre-activation array, so the ReLUs may work in place.
+        # An int index returns a view of weights[0], so layer 0's bias add
+        # allocates h; every later h is a fresh product, so the ReLUs and
+        # bias adds work in place.
         h = self.weights[0][states] + self.biases[0]
         for w, b in zip(self.weights[1:], self.biases[1:]):
             np.maximum(h, 0.0, out=h)
             if layer_inputs is not None:
                 layer_inputs.append(h)
-            h = h @ w + b
+            h = h @ w
+            h += b
         return h
 
     def q_row(self, state: int) -> np.ndarray:
@@ -115,7 +120,8 @@ def td_loss_and_gradients(
     ascending, and the gradient of each of those rows (every other row's is
     zero).  Each row sums its samples in batch order from 0.0, as
     ``np.add.at`` into a dense zero matrix would, so scattering it gives
-    that matrix bit for bit.
+    that matrix bit for bit.  Batch arrays of unequal shapes raise
+    ``ValueError``; a negative or past-the-end index raises ``IndexError``.
     """
 
     states = np.asarray(states, dtype=np.int64)
@@ -123,38 +129,54 @@ def td_loss_and_gradients(
     rewards = np.asarray(rewards, dtype=np.float64)
     next_states = np.asarray(next_states, dtype=np.int64)
     done = np.asarray(done, dtype=bool)
-    batch = states.shape[0]
+    shape = states.shape
+    if len(shape) != 1 or not (
+        actions.shape == rewards.shape == next_states.shape == done.shape == shape
+    ):
+        raise ValueError("batch arrays must be one-dimensional and of one length")
+    batch = shape[0]
     if batch == 0:
         raise ValueError("empty batch")
+    # Indexing would wrap a negative index; past the end it raises itself.
+    if np.minimum.reduce(actions) < 0 or np.minimum.reduce(next_states) < 0:
+        raise IndexError("action or next state index is negative")
 
     inputs: list[np.ndarray] = []
     q_all = net.forward(states, inputs)
-    q_sel = q_all[np.arange(batch), actions]
-
+    sel = (np.arange(batch), actions)
     targets = rewards + gamma * next_values[next_states] * (~done)
-
-    diff = q_sel - targets
-    loss = float(np.mean(diff * diff))
+    diff = q_all[sel] - targets
+    # np.mean's own sum and division, without its wrapper.
+    loss = float(np.add.reduce(diff * diff)) / batch
 
     # d loss / d q_all: nonzero only at the selected action outputs.
     delta = np.zeros_like(q_all)
-    delta[np.arange(batch), actions] = 2.0 * diff / batch
+    delta[sel] = 2.0 * diff / batch
 
+    weights = net.weights
     grads: list[np.ndarray] = []
-    for i in range(len(net.weights) - 1, 0, -1):
-        grads[:0] = [inputs[i - 1].T @ delta, delta.sum(axis=0)]
-        delta = (delta @ net.weights[i].T) * (inputs[i - 1] > 0.0)
+    for i in range(len(weights) - 1, 0, -1):
+        x = inputs[i - 1]
+        grads[:0] = [x.T @ delta, np.add.reduce(delta, axis=0)]
+        delta = delta @ weights[i].T
+        delta *= x > 0.0
     # The first layer saw one-hot rows: each sample's delta lands on the
     # weight row of its state.
-    return loss, [_row_sums(states, delta), delta.sum(axis=0), *grads]
+    return loss, [_row_sums(states, delta), np.add.reduce(delta, axis=0), *grads]
 
 
 def _row_sums(states: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, sums)``: the distinct ``states``, ascending, and for each
     the sum of its ``values`` rows, added in order from 0.0 exactly as
-    ``np.add.at`` into a dense zero matrix adds them."""
+    ``np.add.at`` into a dense zero matrix adds them.  The distinct states
+    are the sorted states that differ from their predecessor, as
+    ``np.unique`` finds them, without its wrapper."""
 
-    rows = np.unique(states)
+    order = np.sort(states)
+    first = np.empty(order.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(order[1:], order[:-1], out=first[1:])
+    rows = order[first]
     width = values.shape[1]
     # np.add.at over flat indices takes its fast one-dimensional path; it
     # still adds in index order.
@@ -171,10 +193,12 @@ def sgd_step(net: QNetwork, grads: list, learning_rate: float) -> None:
     from any other row would leave it as it is.
     """
 
-    params = net.parameters()
-    if len(params) != len(grads):
+    weights, biases = net.weights, net.biases
+    if len(grads) != 2 * len(weights):
         raise ValueError("gradient list does not match parameter list")
-    (rows, row_grads), *dense = grads
-    params[0][rows] -= learning_rate * row_grads
-    for p, g in zip(params[1:], dense):
-        p -= learning_rate * g
+    rows, row_grads = grads[0]
+    weights[0][rows] -= learning_rate * row_grads
+    biases[0] -= learning_rate * grads[1]
+    for w, b, g_w, g_b in zip(weights[1:], biases[1:], grads[2::2], grads[3::2]):
+        w -= learning_rate * g_w
+        b -= learning_rate * g_b

@@ -370,36 +370,43 @@ def _dqn_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Calla
 
     def play(epsilons: np.ndarray) -> None:
         nonlocal steps_done, target
+        # Bound once per call, not per step.  The network calls are looked
+        # up here, by name, so a wrapper installed on them between calls
+        # (a benchmark hook, a test's counter) sees every call.
+        q_row = net.q_row
+        td_step, sgd = td_loss_and_gradients, sgd_step
+        random, integers = rng_train.random, rng_train.integers
+        push, sample = replay.push, replay.sample
+        batch_size, learning_rate, sync = (
+            cfg.batch_size, cfg.learning_rate, cfg.target_sync_interval
+        )
+        max_steps, gamma = cfg.max_steps_per_episode, mdp.gamma
+        initial, terminal = mdp.initial_state, mdp.terminal_state
         for epsilon in epsilons.tolist():
-            s = mdp.initial_state
-            for _ in range(cfg.max_steps_per_episode):
+            s = initial
+            for _ in range(max_steps):
                 n_a = counts[s]
                 if n_a == 0:
                     break
                 # Epsilon-greedy; the network row is read only to exploit.
-                if rng_train.random() < epsilon:
-                    a = int(rng_train.integers(0, n_a))
+                if random() < epsilon:
+                    a = int(integers(0, n_a))
                 else:
-                    a = int(np.argmax(net.q_row(s)[:n_a]))
+                    a = int(q_row(s)[:n_a].argmax())
                 slot = offsets[s] + a
-                if rng_train.random() < success[slot]:
+                if random() < success[slot]:
                     s2 = dest[slot]
                     reward = reward_of[slot]
                 else:
                     s2 = s
                     reward = 0.0
-                done = s2 == mdp.terminal_state
-                replay.push(s, a, reward, s2, done)
-                if len(replay) >= cfg.batch_size:
-                    states, actions, rewards, next_states, dones = replay.sample(
-                        cfg.batch_size, rng_train
-                    )
-                    _, grads = td_loss_and_gradients(
-                        net, target, states, actions, rewards, next_states, dones, mdp.gamma
-                    )
-                    sgd_step(net, grads, cfg.learning_rate)
+                done = s2 == terminal
+                push(s, a, reward, s2, done)
+                if len(replay) >= batch_size:
+                    _, grads = td_step(net, target, *sample(batch_size, rng_train), gamma)
+                    sgd(net, grads, learning_rate)
                 steps_done += 1
-                if steps_done % cfg.target_sync_interval == 0:
+                if steps_done % sync == 0:
                     target = state_values(mdp, _network_slot_values(mdp, net))
                 s = s2
                 if done:

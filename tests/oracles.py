@@ -14,6 +14,11 @@ pass instead of reading ``state_values``, and the gradient oracle is central
 finite differences.
 Agreement between these and the production code is evidence, not
 circularity.
+
+The one exception is the reference DQN step (``reference_forward``,
+``reference_td_loss_and_gradients``, ``reference_sgd_step``): an earlier,
+plainer form of the network's own step, kept so that a test can require
+the current step to give the same bits, not only close values.
 """
 
 from __future__ import annotations
@@ -341,3 +346,92 @@ def relative_gradient_error(
     b = np.concatenate([g.reshape(-1) for g in numeric])
     denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)), 1e-12)
     return float(np.linalg.norm(a - b)) / denom
+
+
+# The reference DQN step: the forward pass, TD loss, row sums and SGD
+# update as they read before the step was trimmed of per-call overhead,
+# verbatim apart from the names (the loss calls reference_forward).  Each
+# uses np.mean, np.unique, np.sum and parameters(), where the network's
+# step uses np.add.reduce, a sort and the weight and bias lists.
+
+
+def reference_forward(net: QNetwork, states, layer_inputs: list | None = None) -> np.ndarray:
+    # Checked here because indexing would wrap a negative index.  A
+    # plain int, one state per step, skips the array conversion.
+    if type(states) is int:
+        if not 0 <= states < net.num_states:
+            raise IndexError("state index outside the state set")
+    else:
+        states = np.asarray(states, dtype=np.int64)
+        if states.size and not 0 <= states.min() <= states.max() < net.num_states:
+            raise IndexError("state index outside the state set")
+    # h is a fresh pre-activation array, so the ReLUs may work in place.
+    h = net.weights[0][states] + net.biases[0]
+    for w, b in zip(net.weights[1:], net.biases[1:]):
+        np.maximum(h, 0.0, out=h)
+        if layer_inputs is not None:
+            layer_inputs.append(h)
+        h = h @ w + b
+    return h
+
+
+def reference_td_loss_and_gradients(
+    net: QNetwork,
+    next_values: np.ndarray,
+    states: np.ndarray,
+    actions: np.ndarray,
+    rewards: np.ndarray,
+    next_states: np.ndarray,
+    done: np.ndarray,
+    gamma: float,
+) -> tuple[float, list]:
+    states = np.asarray(states, dtype=np.int64)
+    actions = np.asarray(actions, dtype=np.int64)
+    rewards = np.asarray(rewards, dtype=np.float64)
+    next_states = np.asarray(next_states, dtype=np.int64)
+    done = np.asarray(done, dtype=bool)
+    batch = states.shape[0]
+    if batch == 0:
+        raise ValueError("empty batch")
+
+    inputs: list[np.ndarray] = []
+    q_all = reference_forward(net, states, inputs)
+    q_sel = q_all[np.arange(batch), actions]
+
+    targets = rewards + gamma * next_values[next_states] * (~done)
+
+    diff = q_sel - targets
+    loss = float(np.mean(diff * diff))
+
+    # d loss / d q_all: nonzero only at the selected action outputs.
+    delta = np.zeros_like(q_all)
+    delta[np.arange(batch), actions] = 2.0 * diff / batch
+
+    grads: list[np.ndarray] = []
+    for i in range(len(net.weights) - 1, 0, -1):
+        grads[:0] = [inputs[i - 1].T @ delta, delta.sum(axis=0)]
+        delta = (delta @ net.weights[i].T) * (inputs[i - 1] > 0.0)
+    # The first layer saw one-hot rows: each sample's delta lands on the
+    # weight row of its state.
+    return loss, [reference_row_sums(states, delta), delta.sum(axis=0), *grads]
+
+
+def reference_row_sums(states: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.unique(states)
+    width = values.shape[1]
+    # np.add.at over flat indices takes its fast one-dimensional path; it
+    # still adds in index order.
+    flat = (np.searchsorted(rows, states)[:, None] * width + np.arange(width)).ravel()
+    sums = np.zeros(rows.size * width)
+    np.add.at(sums, flat, values.ravel())
+    return rows, sums.reshape(rows.size, width)
+
+
+def reference_sgd_step(net: QNetwork, grads: list, learning_rate: float) -> None:
+    params = net.parameters()
+    if len(params) != len(grads):
+        raise ValueError("gradient list does not match parameter list")
+    (rows, row_grads), *dense = grads
+    params[0][rows] -= learning_rate * row_grads
+    for p, g in zip(params[1:], dense):
+        p -= learning_rate * g

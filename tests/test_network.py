@@ -22,6 +22,9 @@ from oracles import (
     finite_difference_grads,
     masked_max_target,
     one_hot_forward,
+    reference_forward,
+    reference_sgd_step,
+    reference_td_loss_and_gradients,
     relative_gradient_error,
 )
 
@@ -221,6 +224,30 @@ class TestTdLoss:
                 np.empty(0, dtype=bool), 0.9,
             )
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("actions", [0], ValueError),  # two states, one action
+            ("rewards", [1.0, 2.0, 3.0], ValueError),
+            ("next_states", [[1, 2]], ValueError),
+            ("done", [False], ValueError),
+            ("actions", [0, -1], IndexError),  # would score the last column
+            ("next_states", [1, -2], IndexError),  # would read state 2's value
+            ("actions", [0, 2], IndexError),
+            ("next_states", [1, 4], IndexError),
+            ("states", [0, -1], IndexError),
+        ],
+    )
+    def test_malformed_batch_rejected(self, field, value, error):
+        net = QNetwork(4, 2, hidden_sizes=(3,), rng=np.random.Generator(np.random.PCG64(8)))
+        batch = {
+            "states": [0, 1], "actions": [1, 0], "rewards": [1.0, 2.0],
+            "next_states": [1, 2], "done": [False, True],
+        }
+        batch[field] = value
+        with pytest.raises(error):
+            td_loss_and_gradients(net, np.arange(4.0), gamma=0.9, **batch)
+
 
 class TestSgd:
     def test_step_reduces_loss(self):
@@ -316,3 +343,58 @@ def test_state_values_target_equals_deep_copy():
             assert bits(np.float64(loss_s)) == bits(np.float64(loss_r)), assumption
             for g_s, g_r in zip(dense_gradients(net, grads_s), dense_gradients(net, grads_r)):
                 assert bits(g_s) == bits(g_r), assumption
+
+
+class TestReferenceStep:
+    """The DQN step against its plainer reference in ``oracles``, bit for bit."""
+
+    @pytest.mark.parametrize("hidden", ((), (7,), (16, 8), (64, 64), (8, 8, 8)))
+    def test_consecutive_updates_match_the_reference(self, hidden):
+        rng = np.random.Generator(np.random.PCG64(23))
+        num_states, num_actions = 30, 5
+        net = QNetwork(num_states, num_actions, hidden, rng=rng)
+        ref = copy.deepcopy(net)
+
+        def params(n):
+            return [bits(p) for p in n.parameters()]
+
+        for step in range(1_000):
+            # Batches of 1 to 100 drawn from at most 6 states, so rows repeat.
+            batch = int(rng.integers(1, 101))
+            pool = rng.choice(num_states, size=int(rng.integers(1, 7)), replace=False)
+            states = rng.choice(pool, size=batch)
+            actions = rng.integers(0, num_actions, size=batch)
+            rewards = rng.normal(0.0, 1.0, size=batch)
+            rewards[rng.random(batch) < 0.2] = -0.0
+            next_states = rng.integers(0, num_states, size=batch)
+            done = rng.random(batch) < rng.choice([0.0, 0.3, 1.0])
+            next_values = rng.normal(0.0, 1.0, size=num_states)
+            next_values[rng.random(num_states) < 0.2] = -0.0
+            if step % 50 == 0:
+                # Signed zeros in the parameters too, on both twins.
+                row = int(rng.choice(pool))
+                for n in (net, ref):
+                    n.weights[0][row, ::2] = -0.0
+                    n.biases[0][::3] = -0.0
+            args = (next_values, states, actions, rewards, next_states, done, 0.9)
+
+            before = params(net)
+            q_batch = net.forward(states)
+            q_one = net.q_row(int(states[0]))
+            table = net.q_table()
+            assert params(net) == before, "a forward pass wrote into a parameter"
+            assert bits(q_batch) == bits(reference_forward(ref, states))
+            assert bits(q_one) == bits(reference_forward(ref, int(states[0])))
+            assert bits(table) == bits(reference_forward(ref, np.arange(num_states)))
+
+            loss, grads = td_loss_and_gradients(net, *args)
+            ref_loss, ref_grads = reference_td_loss_and_gradients(ref, *args)
+            assert bits(np.float64(loss)) == bits(np.float64(ref_loss)), step
+            (rows, row_grads), *dense = grads
+            (ref_rows, ref_row_grads), *ref_dense = ref_grads
+            assert rows.tolist() == ref_rows.tolist()
+            assert bits(row_grads) == bits(ref_row_grads), step
+            assert [bits(g) for g in dense] == [bits(g) for g in ref_dense], step
+            sgd_step(net, grads, 0.01)
+            reference_sgd_step(ref, ref_grads, 0.01)
+            assert params(net) == params(ref), step
