@@ -30,12 +30,12 @@ Generator over ``PCG64``, draws from a :class:`Pcg64Replay` of that
 generator's raw words instead of its scalar methods; the replay's
 ``random`` is C code (an ``itertools.chain`` over blocks of converted
 words), so a uniform draw enters Python only once per block.
-:func:`loop_view` and :func:`loop_inputs` are that choice, made once here
-for every caller.  Both backends produce bit-identical results for the
-same seeds, because numba's Generator methods and the replay reproduce
-numpy's streams exactly; test_kernels.py compares the compiled dispatcher
-with its Python twin, and the list-and-replay run with the
-array-and-Generator run.
+:func:`loop_process`, :func:`loop_view` and :func:`loop_draws` are that
+choice, made once here for every caller.  Both backends produce
+bit-identical results for the same seeds, because numba's Generator
+methods and the replay reproduce numpy's streams exactly; test_kernels.py
+compares the compiled dispatcher with its Python twin, and the
+list-and-replay run with the array-and-Generator run.
 """
 
 from __future__ import annotations
@@ -256,24 +256,36 @@ episode_kernel = njit(cache=True)(_episode_loop) if HAS_NUMBA else _episode_loop
 
 
 def loop_view(a: np.ndarray):
-    """What the loop indexes in place of ``a``: the array itself under
-    numba; on numpy a list copy, about twice as fast to index, so what the
-    loop writes lands in the list."""
+    """What the loop indexes in place of ``a``, which it may write: under
+    numba a writable array, ``a`` itself unless ``a`` is read-only (the
+    compiled loop is typed for arrays it may write); on numpy a list copy,
+    about twice as fast to index.  What the loop writes lands in the view."""
 
-    return a if HAS_NUMBA else a.tolist()
+    return np.require(a, requirements="W") if HAS_NUMBA else a.tolist()
 
 
-def loop_inputs(
-    arrays: tuple[np.ndarray, ...], gen: np.random.Generator
-) -> tuple[tuple, object]:
-    """What a training loop runs over for this backend: ``(views, draws)``.
+def loop_process(mdp) -> tuple:
+    """The loop's first seven arguments for ``mdp``: the :func:`loop_view`
+    of its four action arrays, then its discount, terminal state and
+    initial state."""
 
-    ``views`` are the :func:`loop_view` of each array.  ``draws`` is what
-    the loop draws from: on numpy a :class:`Pcg64Replay` of a Generator
-    over exactly ``PCG64``, otherwise ``gen`` itself.
-    """
+    arrays = (mdp.action_offsets, mdp.action_dest, mdp.action_success, mdp.action_reward)
+    return (*map(loop_view, arrays), mdp.gamma, mdp.terminal_state, mdp.initial_state)
 
-    views = tuple(map(loop_view, arrays))
+
+def loop_draws(gen: np.random.Generator):
+    """What a training loop draws from in place of ``gen``: on numpy a
+    :class:`Pcg64Replay` of a Generator over exactly ``PCG64``, which is
+    the replay's alone from then on; otherwise ``gen`` itself."""
+
     if not HAS_NUMBA and type(gen.bit_generator) is np.random.PCG64:
-        return views, Pcg64Replay(gen)
-    return views, gen
+        return Pcg64Replay(gen)
+    return gen
+
+
+# Stand-ins for the array the loop leaves untouched in each mode: a greedy
+# rollout counts no visits, a training episode records no landings.
+_NO_COUNTS = np.empty(0, dtype=np.float64)
+_NO_LANDINGS = np.empty(0, dtype=np.int64)
+# A greedy rollout is one episode, whose epsilon the loop never reads.
+_ONE_EPISODE = loop_view(np.zeros(1))

@@ -91,15 +91,6 @@ class QNetwork:
 
         return self.forward(np.arange(self.num_states))
 
-    # -- parameter handling ---------------------------------------------------
-
-    def parameters(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
 
 def td_loss_and_gradients(
     net: QNetwork,
@@ -115,12 +106,12 @@ def td_loss_and_gradients(
 
     Targets are r + gamma * next_values[s'] (zeroed where done), where
     ``next_values`` holds one frozen value per state, so no gradient flows
-    through them.  Gradients come back in parameters() order, the first
-    weight matrix's as ``(rows, row_grads)``: the batch's distinct states,
-    ascending, and the gradient of each of those rows (every other row's is
-    zero).  Each row sums its samples in batch order from 0.0, as
-    ``np.add.at`` into a dense zero matrix would, so scattering it gives
-    that matrix bit for bit.  Batch arrays of unequal shapes raise
+    through them.  Gradients come back in the order W0 rows, b0, W1, b1,
+    ..., the first weight matrix's as ``(rows, row_grads)``: the batch's
+    distinct states, ascending, and the gradient of each of those rows
+    (every other row's is zero).  Each row sums its samples in batch order
+    from 0.0, as ``np.add.at`` into a dense zero matrix would, so
+    scattering it gives that matrix bit for bit.  Batch arrays of unequal shapes raise
     ``ValueError``; a negative or past-the-end index raises ``IndexError``.
     """
 
@@ -187,10 +178,11 @@ def _row_sums(states: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def sgd_step(net: QNetwork, grads: list, learning_rate: float) -> None:
-    """In-place vanilla SGD update over parameters() order, with the first
-    weight matrix's gradient row-sparse as :func:`td_loss_and_gradients`
-    returns it.  Only those rows change: subtracting ``learning_rate * 0.0``
-    from any other row would leave it as it is.
+    """In-place vanilla SGD update over gradients in the order W0 rows, b0,
+    W1, b1, ..., with the first weight matrix's gradient row-sparse as
+    :func:`td_loss_and_gradients` returns it.  Only those rows change:
+    subtracting ``learning_rate * 0.0`` from any other row would leave it
+    as it is.
     """
 
     weights, biases = net.weights, net.biases

@@ -28,16 +28,17 @@ episode through that same episode loop, with learning off, as an
 :class:`EpisodeTrace` of named states.  Training curves and
 :mod:`cybermdp.evaluate` both use its body.
 
-The loop runs over what ``_kernels`` picks for the backend.  On the numpy
-fallback that is lists of the process's arrays and of the values; a
-tabular training run draws from one replay of its private stream's raw
-PCG64 words in place of the Generator's scalar draws, and every greedy
-rollout draws from its Generator itself.
+The loop runs over what ``_kernels`` prepares for the backend: the
+process through ``loop_process``, the values and exploration rates
+through ``loop_view``, and a tabular training run's draws through
+``loop_draws``; this module makes no backend choice of its own.  Every
+greedy rollout draws from its Generator itself.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,6 +49,12 @@ from .mdp import ConvergenceError, Mdp, state_slots, state_values
 from .network import QNetwork, sgd_step, td_loss_and_gradients
 
 ALGORITHMS = ("tabular", "dqn")
+# The TrainConfig fields that count or seed; each hidden layer's size is
+# checked with them.
+_INTEGER_FIELDS = (
+    "episodes", "max_steps_per_episode", "eval_interval", "epsilon_decay_episodes",
+    "replay_capacity", "batch_size", "target_sync_interval", "seed",
+)
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        integers = {name: getattr(self, name) for name in _INTEGER_FIELDS}
+        if self.epsilon_decay_episodes is None:
+            del integers["epsilon_decay_episodes"]
+        integers.update((f"hidden_layers[{i}]", h) for i, h in enumerate(self.hidden_layers))
+        # A float passes the range checks below and then plays a rounded-up
+        # count or fails inside numpy; a bool is no count.
+        for name, value in integers.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.episodes < 1:
             raise ValueError("episodes must be positive")
         if self.algorithm not in ALGORITHMS:
@@ -206,12 +222,6 @@ def _streams(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.Generator(np.random.PCG64(c)) for c in children)
 
 
-# Stand-ins for the array the episode loop leaves untouched in each mode:
-# a greedy rollout counts no visits, a training episode records no landings.
-_NO_COUNTS = np.empty(0, dtype=np.float64)
-_NO_LANDINGS = np.empty(0, dtype=np.int64)
-# A greedy rollout is one episode, whose epsilon the loop never reads.
-_ONE_EPISODE = _kernels.loop_view(np.zeros(1))
 # At most this many training episodes per learner call, so that a chunk's
 # epsilons stay small whatever the evaluation interval.
 _MAX_CHUNK = 4096
@@ -245,9 +255,7 @@ def rollout_greedy(
 
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
-    # The compiled loop is typed for values it may write (it never does
-    # here), which a frozen TabularQ's read-only array is not: copy that one.
-    q_values = np.require(q.values, dtype=np.float64, requirements="W")
+    q_values = np.asarray(q.values, dtype=np.float64)
     if q_values.shape != (mdp.num_action_slots,):
         raise ValueError(
             f"expected {mdp.num_action_slots} per-slot values, got shape {q_values.shape}"
@@ -263,9 +271,9 @@ def _greedy_player(
 ) -> Callable[[np.ndarray], tuple[np.ndarray, float, bool]]:
     """The body of :func:`rollout_greedy` over inputs prepared once.
 
-    ``play(q_values)`` plays one greedy episode under writable per-slot
-    values and returns ``(landings, total_reward, reached_terminal)``; the
-    landings are a view that the next call overwrites.  Every call reads
+    ``play(q_values)`` plays one greedy episode under per-slot values and
+    returns ``(landings, total_reward, reached_terminal)``; the landings
+    are a view that the next call overwrites.  Every call reads
     the same views of the process and draws on from ``rng``.
     """
 
@@ -275,26 +283,17 @@ def _greedy_player(
         raise ValueError(
             f"max_steps {max_steps} is too large: no memory to record that many landings"
         ) from None
-    offsets, dest, p, r = map(
-        _kernels.loop_view,
-        (mdp.action_offsets, mdp.action_dest, mdp.action_success, mdp.action_reward),
-    )
+    process = _kernels.loop_process(mdp)
 
     def play(q_values: np.ndarray) -> tuple[np.ndarray, float, bool]:
         steps, total, reached = _kernels.episode_kernel(
-            offsets,
-            dest,
-            p,
-            r,
-            mdp.gamma,
-            mdp.terminal_state,
-            mdp.initial_state,
+            *process,
             max_steps,
             _kernels.loop_view(q_values),
-            _NO_COUNTS,
+            _kernels._NO_COUNTS,
             0.0,
             0.0,
-            _ONE_EPISODE,
+            _kernels._ONE_EPISODE,
             False,
             rng,
             landings,
@@ -313,22 +312,14 @@ def _network_slot_values(mdp: Mdp, net: QNetwork) -> np.ndarray:
 
 def _tabular_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[Callable, Callable]:
     n = mdp.num_action_slots
+    process = _kernels.loop_process(mdp)
+    q, counts = _kernels.loop_view(np.zeros(n)), _kernels.loop_view(np.zeros(n))
     # One replay spans the run: nothing else draws from rng_train.
-    (offsets, dest, p, r, q, counts), draws = _kernels.loop_inputs(
-        (mdp.action_offsets, mdp.action_dest, mdp.action_success, mdp.action_reward,
-         np.zeros(n), np.zeros(n)),
-        rng_train,
-    )
+    draws = _kernels.loop_draws(rng_train)
 
     def play(epsilons: np.ndarray) -> None:
         _kernels.episode_kernel(
-            offsets,
-            dest,
-            p,
-            r,
-            mdp.gamma,
-            mdp.terminal_state,
-            mdp.initial_state,
+            *process,
             cfg.max_steps_per_episode,
             q,
             counts,
@@ -337,7 +328,7 @@ def _tabular_learner(mdp: Mdp, cfg: TrainConfig, rng_init, rng_train) -> tuple[C
             _kernels.loop_view(epsilons),
             True,
             draws,
-            _NO_LANDINGS,
+            _kernels._NO_LANDINGS,
         )
 
     def slot_values(episodes_done: int) -> np.ndarray:

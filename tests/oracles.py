@@ -264,6 +264,12 @@ def enumerate_optimal_values(mdp: Mdp) -> np.ndarray:
     return best
 
 
+def parameters(net: QNetwork) -> list[np.ndarray]:
+    """The network's parameters in gradient order: W0, b0, W1, b1, ..."""
+
+    return [param for pair in zip(net.weights, net.biases) for param in pair]
+
+
 def one_hot_forward(net: QNetwork, states) -> np.ndarray:
     """Action values from a dense one-hot input: a vector for one state
     index, a matrix with one row per index for an index array."""
@@ -311,7 +317,7 @@ def finite_difference_grads(
         return float(loss)
 
     grads = []
-    for param in net.parameters():
+    for param in parameters(net):
         grad = np.zeros_like(param)
         flat = param.reshape(-1)
         gflat = grad.reshape(-1)
@@ -351,7 +357,7 @@ def relative_gradient_error(
 # The reference DQN step: the forward pass, TD loss, row sums and SGD
 # update as they read before the step was trimmed of per-call overhead,
 # verbatim apart from the names (the loss calls reference_forward).  Each
-# uses np.mean, np.unique, np.sum and parameters(), where the network's
+# uses np.mean, np.unique, np.sum and parameters(net), where the network's
 # step uses np.add.reduce, a sort and the weight and bias lists.
 
 
@@ -428,7 +434,7 @@ def reference_row_sums(states: np.ndarray, values: np.ndarray) -> tuple[np.ndarr
 
 
 def reference_sgd_step(net: QNetwork, grads: list, learning_rate: float) -> None:
-    params = net.parameters()
+    params = parameters(net)
     if len(params) != len(grads):
         raise ValueError("gradient list does not match parameter list")
     (rows, row_grads), *dense = grads

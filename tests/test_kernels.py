@@ -6,7 +6,8 @@ them.  These tests compare the compiled episode dispatcher against its pure
 Python twin, the numpy backend's lists and PCG64 replay against arrays and
 the Generator, a run of episodes in one loop call against one call per
 episode, and value iteration's vectorized backup against the scalar sweep
-in oracles.py.
+in oracles.py.  They also check what ``_kernels`` prepares for the loop,
+and that ``solver`` leaves every backend choice to it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from cybermdp import _kernels, solver
 from conftest import make_mdp
-from cybermdp._kernels import _BLOCK, Pcg64Replay, _episode_loop
+from cybermdp._kernels import _BLOCK, _NO_LANDINGS, Pcg64Replay, _episode_loop
 from cybermdp.mdp import Mdp, build_cvss_mdp, value_iteration
 from cybermdp.netgen import TopologyParams, generate
 from cybermdp.solver import TrainConfig, train
@@ -44,10 +45,6 @@ def arrays():
 
 def fresh_gen(seed: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
-
-
-# What a training episode gets for the landings it does not record.
-NO_LANDINGS = np.empty(0, dtype=np.int64)
 
 
 def assert_matches_scalar_loop(mdp, tol, max_iters):
@@ -232,20 +229,40 @@ class TestPcg64Replay:
             Pcg64Replay(fresh_gen(0)).integers(0, n)
 
     def test_only_pcg64_generators_are_replayed(self):
-        arrays = (np.arange(3, dtype=np.int64), np.linspace(0.0, 1.0, 4))
-        views, draws = _kernels.loop_inputs(arrays, fresh_gen(0))
+        draws = _kernels.loop_draws(fresh_gen(0))
         assert isinstance(draws, Pcg64Replay) is (_kernels.BACKEND == "numpy")
-        if _kernels.BACKEND == "numpy":
-            assert all(type(v) is list for v in views)
-            assert views == tuple(a.tolist() for a in arrays)
-        else:
-            assert views is arrays
         for bit_generator in (np.random.Philox, np.random.MT19937, np.random.SFC64):
             gen = np.random.Generator(bit_generator(0))
             before = gen.bit_generator.state
-            _, draws = _kernels.loop_inputs(arrays, gen)
-            assert draws is gen
+            assert _kernels.loop_draws(gen) is gen
             np.testing.assert_equal(gen.bit_generator.state, before)
+
+
+class TestLoopSeam:
+    """What ``_kernels`` prepares for the loop, and that ``solver`` leaves
+    every backend choice to it."""
+
+    def test_view_of_a_read_only_array_is_writable_and_equal(self, arrays):
+        values = np.linspace(-1.0, 1.0, arrays.num_action_slots)
+        values.setflags(write=False)
+        view = _kernels.loop_view(values)
+        if _kernels.BACKEND == "numpy":
+            assert type(view) is list
+        else:
+            assert isinstance(view, np.ndarray) and view.flags.writeable
+        assert np.array(view).tobytes() == values.tobytes()
+        # A frozen TabularQ plays as it is and stays frozen and unchanged.
+        q = solver.TabularQ(action_offsets=arrays.action_offsets, values=values)
+        before = values.tobytes()
+        solver.rollout_greedy(arrays, q, fresh_gen(0), max_steps=50)
+        assert not q.values.flags.writeable
+        assert q.values.tobytes() == before
+
+    def test_solver_names_no_backend_rule(self):
+        # The backend's way of feeding the loop lives in _kernels alone.
+        text = Path(solver.__file__).read_text(encoding="utf-8")
+        for name in ("HAS_NUMBA", "BACKEND", "np.require", "Pcg64Replay", "loop_inputs"):
+            assert name not in text, f"solver.py names {name}"
 
 
 def random_process(seed: int) -> Mdp:
@@ -282,19 +299,17 @@ class TestChunkedEpisodes:
         mdp = PROCESSES[index]
         n = mdp.num_action_slots
         epsilons = np.linspace(1.0, 0.05, 30)
+        process = _kernels.loop_process(mdp)
         runs = []
         for chunks in ([epsilons], np.split(epsilons, len(epsilons))):
-            gen = fresh_gen(index)
-            (offsets, dest, p, r, q, counts), draws = _kernels.loop_inputs(
-                (mdp.action_offsets, mdp.action_dest, mdp.action_success,
-                 mdp.action_reward, np.arange(n, dtype=np.float64) % 3, np.zeros(n)),
-                gen,
-            )
+            q = _kernels.loop_view(np.arange(n, dtype=np.float64) % 3)
+            counts = _kernels.loop_view(np.zeros(n))
+            draws = _kernels.loop_draws(fresh_gen(index))
             for chunk in chunks:
                 last = _kernels.episode_kernel(
-                    offsets, dest, p, r, mdp.gamma, mdp.terminal_state, mdp.initial_state,
+                    *process,
                     40, q, counts, 0.3, alpha_decay, _kernels.loop_view(chunk), True, draws,
-                    NO_LANDINGS,
+                    _NO_LANDINGS,
                 )
             runs.append((last, np.array(q).tobytes(), np.array(counts).tobytes(),
                          next_draws(draws)))
@@ -349,7 +364,7 @@ class TestEpisodeLoop:
         counts = np.zeros(1)
         steps, total, reached = _episode_loop(
             offsets, dest, p, r, 0.9, 1, 0, 25, q, counts, 0.1, 0.0, [0.0],
-            True, fresh_gen(0), NO_LANDINGS,
+            True, fresh_gen(0), _NO_LANDINGS,
         )
         assert steps == 25
         assert reached is False
@@ -364,7 +379,7 @@ class TestEpisodeLoop:
         counts = np.zeros(1)
         steps, total, reached = _episode_loop(
             offsets, dest, p, r, 0.9, 1, 0, 25, q, counts, 1.0, 0.0, [0.0],
-            True, fresh_gen(0), NO_LANDINGS,
+            True, fresh_gen(0), _NO_LANDINGS,
         )
         assert (steps, total, reached) == (1, 100.0, True)
         assert q[0] == 100.0  # full-alpha terminal backup
@@ -378,7 +393,7 @@ class TestEpisodeLoop:
         counts = np.zeros(1)
         _episode_loop(
             offsets, dest, p, r, 0.0, 1, 0, 3, q, counts, 1.0, 1.0, [0.0],
-            True, fresh_gen(0), NO_LANDINGS,
+            True, fresh_gen(0), _NO_LANDINGS,
         )
         # alpha_eff = 1/n per visit with gamma 0: q converges on the running
         # average of the constant reward, i.e. exactly 1.
@@ -394,7 +409,7 @@ class TestEpisodeLoop:
         counts = np.zeros(1)
         steps, total, reached = _episode_loop(
             offsets, dest, p, r, 0.9, 2, 0, 50, q, counts, 0.5, 0.0, [0.0],
-            True, fresh_gen(0), NO_LANDINGS,
+            True, fresh_gen(0), _NO_LANDINGS,
         )
         # lands in the action-less state 1 and stops there.
         assert steps == 1

@@ -22,6 +22,7 @@ from oracles import (
     finite_difference_grads,
     masked_max_target,
     one_hot_forward,
+    parameters,
     reference_forward,
     reference_sgd_step,
     reference_td_loss_and_gradients,
@@ -125,7 +126,7 @@ class TestQNetwork:
     def test_deterministic_init_per_rng_seed(self):
         a = QNetwork(5, 3, rng=np.random.Generator(np.random.PCG64(3)))
         b = QNetwork(5, 3, rng=np.random.Generator(np.random.PCG64(3)))
-        for wa, wb in zip(a.parameters(), b.parameters()):
+        for wa, wb in zip(parameters(a), parameters(b)):
             np.testing.assert_array_equal(wa, wb)
 
 
@@ -262,7 +263,7 @@ class TestSgd:
     def test_updates_in_place(self):
         net = QNetwork(3, 2)
         w0 = net.weights[0]
-        grads = [np.ones_like(p) for p in net.parameters()]
+        grads = [np.ones_like(p) for p in parameters(net)]
         grads[0] = (np.arange(net.num_states), grads[0])
         sgd_step(net, grads, learning_rate=0.5)
         assert net.weights[0] is w0
@@ -306,10 +307,10 @@ class TestRowSparse:
             states = rng.integers(0, 10, size=32)
             _, grads = td_loss_and_gradients(net, next_values, states, *rest, 0.9)
             dense = copy.deepcopy(net)
-            for p, g in zip(dense.parameters(), dense_gradients(net, grads)):
+            for p, g in zip(parameters(dense), dense_gradients(net, grads)):
                 p -= 0.01 * g
             sgd_step(net, grads, learning_rate=0.01)
-            for mine, theirs in zip(net.parameters(), dense.parameters()):
+            for mine, theirs in zip(parameters(net), parameters(dense)):
                 assert bits(mine) == bits(theirs)
 
 
@@ -356,7 +357,7 @@ class TestReferenceStep:
         ref = copy.deepcopy(net)
 
         def params(n):
-            return [bits(p) for p in n.parameters()]
+            return [bits(p) for p in parameters(n)]
 
         for step in range(1_000):
             # Batches of 1 to 100 drawn from at most 6 states, so rows repeat.

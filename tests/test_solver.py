@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,33 @@ class TestTrainConfig:
     def test_rejects_invalid(self, overrides):
         with pytest.raises(ValueError):
             config_with(**overrides)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("episodes", 2.5),
+            ("eval_interval", 1.5),
+            ("max_steps_per_episode", 2.5),
+            ("epsilon_decay_episodes", 3.0),
+            ("replay_capacity", 100.0),
+            ("batch_size", 2.5),
+            ("target_sync_interval", True),
+            ("seed", 1.5),
+            ("seed", False),
+            ("hidden_layers", (8, 4.0)),
+        ],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        # Let through, episodes=2.5 would play three episodes, and
+        # eval_interval=1.5 would write episode numbers 1.5 and 3.0 into the
+        # curve.
+        name = "hidden_layers[1]" if field == "hidden_layers" else field
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer"):
+            config_with(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = config_with(episodes=np.int64(5), seed=np.uint32(3), hidden_layers=(np.int32(4),))
+        assert (cfg.episodes, cfg.seed, cfg.hidden_layers) == (5, 3, (4,))
 
     def test_dqn_learning_rate_may_exceed_one(self):
         # Only a tabular step size is a mixing weight bounded by 1.
