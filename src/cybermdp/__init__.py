@@ -5,9 +5,9 @@ The pipeline: parse or generate an annotated attack graph (:mod:`.graph`,
 :mod:`.netgen`), compile it to a finite decision process whose rewards and
 success probabilities come from the vulnerability scores (:mod:`.mdp`),
 optionally fold firewalls into the rewards or the transition dynamics with
-the one transform ``apply_terrain`` (:mod:`.terrain`), then solve by value
-iteration, tabular Q-learning, or a small Q-network (:mod:`.solver`,
-:mod:`.network`) and compare the learned routes of any set of terrain
+the one transform ``apply_terrain`` (:mod:`.terrain`), then solve exactly
+(``value_iteration``, which runs Howard's policy iteration), by tabular
+Q-learning, or by a small Q-network (:mod:`.solver`, :mod:`.network`) and compare the learned routes of any set of terrain
 variants, protocol-restricted ones included, in one ``compare_variants``
 call, which returns one ``VariantMetrics`` per variant (:mod:`.evaluate`).
 """

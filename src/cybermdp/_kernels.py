@@ -16,9 +16,9 @@ absorbing-state exit, the step cap and the terminal test) in one place.
 The loop calls only ``gen.random()`` and ``gen.integers(low, high)`` on
 its generator, the latter only to explore among two or more actions.
 The DQN step keeps its own epsilon-greedy in :mod:`cybermdp.solver`,
-because it reads the network's row only when it exploits.  Value iteration
-and policy extraction are vectorized numpy in :mod:`cybermdp.mdp` on every
-backend.
+because it reads the network's row only when it exploits.  The exact
+solve and its policy extraction are vectorized numpy in
+:mod:`cybermdp.mdp` on every backend.
 
 Backend selection happens once at import via the ``CYBERMDP_BACKEND``
 environment variable: ``numba`` (default, falls back silently if numba is

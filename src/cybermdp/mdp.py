@@ -15,11 +15,12 @@ override the ramp: arriving at the terminal pays exactly 100, arriving back
 at the initial vertex pays exactly 0.01, and any action whose destination
 cannot reach the terminal at all pays exactly -1.
 
-``value_iteration`` solves the compiled process exactly and is the oracle
-the learning agents are measured against; ``slot_values`` is the one
-action-value backup it, the policy extraction and ``action_values`` share,
-and ``state_values`` the one greedy state value (a state's best slot), which
-it and the DQN learner's frozen target share.
+``value_iteration`` solves the compiled process exactly, by Howard's policy
+iteration, and is the oracle the learning agents are measured against;
+``slot_values`` is the one action-value backup it, its policy extraction
+and ``action_values`` share, and ``state_values`` the one greedy state
+value (a state's best slot), which it and the DQN learner's frozen target
+share.
 """
 
 from __future__ import annotations
@@ -51,10 +52,15 @@ INITIAL_REWARD = 0.01
 DEAD_END_REWARD = -1.0
 REWARD_FLOOR = 0.01
 
+# Policy iteration switches a state's slot only for a gain above this share
+# of the current slot's value, so that rounding cannot make it cycle.
+IMPROVEMENT_MARGIN = 1e-12
+
 
 class ConvergenceError(RuntimeError):
-    """Value iteration missed its tolerance, or a learner's action values
-    stopped being finite (then ``residual`` is NaN)."""
+    """The exact solve's verifying backup missed ``tol`` (or was not finite),
+    a policy it evaluated cycles at gamma = 1 (``residual`` is inf), or a
+    learner's action values stopped being finite (``residual`` is NaN)."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -308,9 +314,9 @@ def build_cvss_mdp(graph: AttackGraph, gamma: float = 0.9) -> Mdp:
 
 @dataclass(frozen=True, eq=False)
 class ValueResult:
-    """Outcome of value iteration: optimal values, the greedy policy
-    (local action index per state, -1 where no action exists), the sweep
-    count, and the verified final residual."""
+    """Outcome of :func:`value_iteration`: optimal values, the greedy policy
+    (local action index per state, -1 where no action exists), the number
+    of policy evaluations, and the verified final residual."""
 
     values: np.ndarray
     policy: np.ndarray
@@ -349,7 +355,7 @@ def state_values(mdp: Mdp, slot_q: np.ndarray) -> np.ndarray:
     """Each state's greedy value under per-slot action values ``slot_q``:
     the max over its slots, 0.0 for a state without any.
 
-    Value iteration's backup and the DQN learner's frozen target both read
+    The exact solve's backup and the DQN learner's frozen target both read
     their states' values here.
     """
 
@@ -359,61 +365,66 @@ def state_values(mdp: Mdp, slot_q: np.ndarray) -> np.ndarray:
     return best
 
 
-def value_iteration(mdp: Mdp, tol: float = 1e-8, max_iters: int = 100_000) -> ValueResult:
-    """Solve the process to Bellman optimality within ``tol`` (sup norm).
+def value_iteration(mdp: Mdp, tol: float = 1e-8) -> ValueResult:
+    """Solve the process exactly by Howard's policy iteration.
 
-    Jacobi sweeps from V = 0; states without actions are absorbing at value
-    0.  After the sweep loop reports convergence, one extra backup
-    recomputes the residual from scratch; the result carries that verified
-    number, and the policy is that backup's greedy choice, ties to the
-    lowest action index.  Raises :class:`ConvergenceError` when max_iters
-    sweeps are not enough (e.g. gamma = 1 on a graph whose cycles carry
-    positive reward, where no finite fixed point exists) or when the values
-    stop being finite.
+    From each state's first slot, evaluate the policy exactly and switch
+    each state whose greedy slot beats its current slot by more than
+    ``IMPROVEMENT_MARGIN`` of its value, until none switches; ``iterations``
+    counts the evaluations.  The residual and the policy (ties to the
+    lowest action index) come from one backup of the final values.  Raises
+    :class:`ConvergenceError` when that residual is above ``tol`` or not
+    finite, or when a policy on the way cycles at gamma = 1.
     """
 
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-
-    n = mdp.num_states
-
-    def backup(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = slot_values(mdp, values)
-        return q, state_values(mdp, q)
-
-    values = np.zeros(n, dtype=np.float64)
-    residual = np.inf
-    iterations = 0
-    while iterations < max_iters:
-        new = backup(values)[1]
-        residual = float(np.max(np.abs(new - values)))
-        values = new
+    slots, starts, live = np.arange(mdp.num_action_slots), mdp.live_starts, mdp.live_states
+    pick, iterations = starts, 0  # each live state's slot
+    while True:
+        values = _policy_values(mdp, pick)
         iterations += 1
-        if residual <= tol or not np.isfinite(residual):
-            break  # a value that overflowed never becomes finite again
-    # Written as "not <=" so that a NaN residual fails the test too.
-    if not residual <= tol:
-        raise ConvergenceError(
-            f"value iteration still above tolerance after {iterations} sweeps "
-            f"(residual {residual:.3e} > tol {tol:.3e})",
-            residual=residual,
-        )
-    # Independent re-check: one more backup applied to the reported values
-    # must also stay within tolerance.
-    q, best = backup(values)
-    check = float(np.max(np.abs(best - values)))
-    if not check <= tol:
-        raise ConvergenceError(
-            f"post-hoc residual check failed ({check:.3e} > tol {tol:.3e})",
-            residual=check,
-        )
-    policy = np.full(n, -1, dtype=np.int64)
-    if q.size:
+        q = slot_values(mdp, values)
+        best = state_values(mdp, q)
         # The first slot of each segment that attains the segment's max.
-        slot = np.arange(q.size)
-        hits = np.where(q == best[mdp.slot_state], slot, q.size)
-        starts = mdp.live_starts
-        policy[mdp.live_states] = np.minimum.reduceat(hits, starts) - starts
-    return ValueResult(values=values, policy=policy, iterations=iterations, residual=check)
+        hits = np.where(q == best[mdp.slot_state], slots, q.size)
+        greedy = np.minimum.reduceat(hits, starts) if q.size else starts
+        switch = best[live] - q[pick] > IMPROVEMENT_MARGIN * np.abs(q[pick])
+        if not switch.any():
+            break
+        pick = np.where(switch, greedy, pick)
+    residual = float(np.max(np.abs(best - values)))
+    if not residual <= tol:  # written so that a NaN residual fails too
+        raise ConvergenceError(f"residual {residual:.3e} above tol {tol:.3e}", residual)
+    policy = np.full(mdp.num_states, -1, dtype=np.int64)
+    policy[live] = greedy - starts
+    return ValueResult(values=values, policy=policy, iterations=iterations, residual=residual)
+
+
+def _policy_values(mdp: Mdp, pick: np.ndarray) -> np.ndarray:
+    """Exact values of the policy that plays slot ``pick[i]`` in live state i.
+
+    A failed attempt stays put, so X[s] = a[s] + b[s] * X[succ[s]] with
+    a = p*r / (1 - (1-p)*gamma) and b = p*gamma / (1 - (1-p)*gamma), both 0
+    without an action or a chance of success.  Pointer doubling folds each
+    state's successor chain into it until every b has underflowed to 0.
+    """
+
+    n, gamma, live = mdp.num_states, mdp.gamma, mdp.live_states
+    p = mdp.action_success[pick]
+    # The denominator is exactly p at gamma = 1, so b is exactly 1 there.
+    share = np.divide(p, (1.0 - gamma) + p * gamma, out=np.zeros_like(p), where=p > 0.0)
+    a, b, succ = np.zeros(n), np.zeros(n), np.arange(n)
+    a[live], b[live] = share * mdp.action_reward[pick], share * gamma
+    succ[live] = mdp.action_dest[pick]
+    rounds = 0
+    while b.any():
+        # After bit_length(n) rounds every chain into an absorbing state has
+        # reached it, so a b still at 1 belongs to an undiscounted cycle.
+        if rounds > n.bit_length() and b.max() >= 1.0:
+            raise ConvergenceError("a policy cycles at gamma = 1: no finite values", np.inf)
+        a += b * a[succ]
+        b *= b[succ]
+        succ = succ[succ]
+        rounds += 1
+    return a

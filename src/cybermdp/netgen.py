@@ -38,6 +38,12 @@ _COMPLEXITY_ORDER: tuple[Complexity, ...] = (
 )
 
 
+# Size caps on a topology: about 100 times ENTERPRISE_SCALE's 955 vertices,
+# and a per-subnet draw of 128 MiB.
+MAX_VERTICES = 100_000
+MAX_HOSTS_PER_SUBNET = 4_096
+
+
 @dataclass(frozen=True)
 class TopologyParams:
     """Knobs for :func:`generate`.
@@ -77,6 +83,13 @@ class TopologyParams:
             raise ValueError("inter_edge_count must be at least 1")
         if not 0.0 <= self.firewall_prob <= 1.0:
             raise ValueError("firewall_prob must lie in [0, 1]")
+        # generate holds every vertex and draws an h x h block per subnet.
+        if self.hosts_per_subnet > MAX_HOSTS_PER_SUBNET:
+            raise ValueError(f"hosts_per_subnet must be at most {MAX_HOSTS_PER_SUBNET:,}")
+        s, h = self.num_subnets, self.hosts_per_subnet
+        vertices = s * h + (s - 1) * (self.inter_edge_count + 2)
+        if vertices > MAX_VERTICES:
+            raise ValueError(f"the topology has {vertices:,} vertices, over {MAX_VERTICES:,}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name, weights in (

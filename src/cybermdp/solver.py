@@ -49,12 +49,12 @@ from .mdp import ConvergenceError, Mdp, state_slots, state_values
 from .network import QNetwork, sgd_step, td_loss_and_gradients
 
 ALGORITHMS = ("tabular", "dqn")
-# The TrainConfig fields that count or seed; each hidden layer's size is
-# checked with them.
-_INTEGER_FIELDS = (
-    "episodes", "max_steps_per_episode", "eval_interval", "epsilon_decay_episodes",
-    "replay_capacity", "batch_size", "target_sync_interval", "seed",
-)
+# Each integer field and its least value; a hidden layer's is 1 too.
+_INTEGER_FIELDS = {
+    "episodes": 1, "max_steps_per_episode": 1, "eval_interval": 1, "epsilon_decay_episodes": 1,
+    "replay_capacity": 1, "batch_size": 1, "target_sync_interval": 1, "seed": 0,
+}
+_REAL_FIELDS = ("learning_rate", "learning_rate_decay", "epsilon_start", "epsilon_end")
 
 
 @dataclass(frozen=True)
@@ -90,19 +90,20 @@ class TrainConfig:
         if self.epsilon_decay_episodes is None:
             del integers["epsilon_decay_episodes"]
         integers.update((f"hidden_layers[{i}]", h) for i, h in enumerate(self.hidden_layers))
-        # A float passes the range checks below and then plays a rounded-up
-        # count or fails inside numpy; a bool is no count.
+        # A float passes a range check and then plays a rounded-up count or
+        # fails inside numpy; a bool is no count, and no rate either.
         for name, value in integers.items():
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.episodes < 1:
-            raise ValueError("episodes must be positive")
+            if value < _INTEGER_FIELDS.get(name, 1):
+                bound = "non-negative" if name == "seed" else "positive"
+                raise ValueError(f"{name} must be {bound}, got {value}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.max_steps_per_episode < 1:
-            raise ValueError("max_steps_per_episode must be positive")
-        if self.eval_interval < 1:
-            raise ValueError("eval_interval must be positive")
         # Written as not (...) so that NaN fails each check.
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
@@ -116,20 +117,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.epsilon_end > self.epsilon_start:
             raise ValueError("epsilon_end must not exceed epsilon_start")
-        if self.epsilon_decay_episodes is not None and self.epsilon_decay_episodes < 1:
-            raise ValueError("epsilon_decay_episodes must be positive")
-        if self.replay_capacity < 1:
-            raise ValueError("replay_capacity must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
         if self.batch_size > self.replay_capacity:
             raise ValueError("batch_size must not exceed replay_capacity")
-        if self.target_sync_interval < 1:
-            raise ValueError("target_sync_interval must be positive")
-        if any(h < 1 for h in self.hidden_layers):
-            raise ValueError("hidden layer sizes must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
         # Not a field, so equality and repr ignore it and replace() redoes it.
         span = self.epsilon_decay_episodes

@@ -15,10 +15,14 @@ finite differences.
 Agreement between these and the production code is evidence, not
 circularity.
 
-The one exception is the reference DQN step (``reference_forward``,
-``reference_td_loss_and_gradients``, ``reference_sgd_step``): an earlier,
-plainer form of the network's own step, kept so that a test can require
-the current step to give the same bits, not only close values.
+Two exceptions are earlier forms of the package's own code, kept so that
+a test can require the same bits, not only close values.  The reference
+DQN step (``reference_forward``, ``reference_td_loss_and_gradients``,
+``reference_sgd_step``) is a plainer form of the network's step.
+``jacobi_value_iteration`` is the Jacobi value iteration that was the
+package's exact solver before policy iteration replaced it, verbatim
+apart from its name: the reference the exact solve's policy and values
+are checked against, and itself pinned bit for bit by the scalar sweep.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import sys
 import numpy as np
 
 from cybermdp.graph import AttackGraph
-from cybermdp.mdp import Mdp
+from cybermdp.mdp import ConvergenceError, Mdp, ValueResult, slot_values, state_values
 from cybermdp.netgen import TopologyParams
 from cybermdp.network import QNetwork, td_loss_and_gradients
 
@@ -225,13 +229,73 @@ def scalar_sweep(mdp: Mdp, v: np.ndarray) -> tuple[np.ndarray, float]:
     return v_new, residual
 
 
+def jacobi_value_iteration(mdp: Mdp, tol: float = 1e-8, max_iters: int = 100_000) -> ValueResult:
+    """Solve the process to Bellman optimality within ``tol`` (sup norm).
+
+    Jacobi sweeps from V = 0; states without actions are absorbing at value
+    0.  After the sweep loop reports convergence, one extra backup
+    recomputes the residual from scratch; the result carries that verified
+    number, and the policy is that backup's greedy choice, ties to the
+    lowest action index.  Raises :class:`ConvergenceError` when max_iters
+    sweeps are not enough (e.g. gamma = 1 on a graph whose cycles carry
+    positive reward, where no finite fixed point exists) or when the values
+    stop being finite.
+    """
+
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+
+    n = mdp.num_states
+
+    def backup(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = slot_values(mdp, values)
+        return q, state_values(mdp, q)
+
+    values = np.zeros(n, dtype=np.float64)
+    residual = np.inf
+    iterations = 0
+    while iterations < max_iters:
+        new = backup(values)[1]
+        residual = float(np.max(np.abs(new - values)))
+        values = new
+        iterations += 1
+        if residual <= tol or not np.isfinite(residual):
+            break  # a value that overflowed never becomes finite again
+    # Written as "not <=" so that a NaN residual fails the test too.
+    if not residual <= tol:
+        raise ConvergenceError(
+            f"value iteration still above tolerance after {iterations} sweeps "
+            f"(residual {residual:.3e} > tol {tol:.3e})",
+            residual=residual,
+        )
+    # Independent re-check: one more backup applied to the reported values
+    # must also stay within tolerance.
+    q, best = backup(values)
+    check = float(np.max(np.abs(best - values)))
+    if not check <= tol:
+        raise ConvergenceError(
+            f"post-hoc residual check failed ({check:.3e} > tol {tol:.3e})",
+            residual=check,
+        )
+    policy = np.full(n, -1, dtype=np.int64)
+    if q.size:
+        # The first slot of each segment that attains the segment's max.
+        slot = np.arange(q.size)
+        hits = np.where(q == best[mdp.slot_state], slot, q.size)
+        starts = mdp.live_starts
+        policy[mdp.live_states] = np.minimum.reduceat(hits, starts) - starts
+    return ValueResult(values=values, policy=policy, iterations=iterations, residual=check)
+
+
 def scalar_value_iteration(
     mdp: Mdp, tol: float, max_iters: int
 ) -> tuple[np.ndarray, int, float]:
     """Sweeps of :func:`scalar_sweep` from zero until the change is <= tol.
 
     Returns (values, sweeps, residual of one further sweep), the residual
-    being the verified number ``value_iteration`` reports.
+    being the verified number ``jacobi_value_iteration`` reports.
     """
 
     v = np.zeros(mdp.num_states)

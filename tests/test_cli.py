@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cybermdp import cli, solver
@@ -185,6 +185,19 @@ class TestGen:
     def test_bad_param_value_exit_one(self, tmp_path):
         doc = dict(SMALL_TOPOLOGY, intra_edge_prob=2.0)
         assert main(["gen", "--config", _json_file(tmp_path, doc)]) == 1
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"hosts_per_subnet": 1_000_000}, "hosts_per_subnet must be at most 4,096"),
+            ({"num_subnets": 2**70}, "over 100,000"),
+        ],
+    )
+    def test_topology_over_the_size_caps_exit_one(self, tmp_path, capsys, override, message):
+        # Let through, generate would build subnets until memory ran out.
+        doc = dict(SMALL_TOPOLOGY, **override)
+        assert main(["gen", "--config", _json_file(tmp_path, doc)]) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "override",
@@ -690,6 +703,12 @@ TRAIN_DOC = {
     "seed": 1,
 }
 
+TOPOLOGY_DOC = {
+    **SMALL_TOPOLOGY,
+    "protocol_weights": {"ftp": 1.0, "SSH": 2.0},
+    "complexity_weights": {"low": 1.0, "medium": 0.5, "high": 0.25},
+}
+
 # Replacement values: any JSON, plus tokens the documents give meaning to
 # (mutated() adds each document's own scalars).  Integers stay small so
 # that no mutated step cap or layer size runs long.
@@ -722,13 +741,14 @@ def _nested(node, prefix=()):
 
 
 @st.composite
-def mutated(draw, doc):
+def mutated(draw, doc, leaves=_JSON_VALUES):
     """``doc`` with one to three of the values it nests, each picked
-    uniformly, deleted or replaced (by any JSON or one of its own scalars)."""
+    uniformly, deleted or replaced (by one of ``leaves``, any JSON by
+    default, or one of its own scalars)."""
 
     doc = copy.deepcopy(doc)
     scalars = {repr(v): v for _, v in _nested(doc) if not isinstance(v, (dict, list))}
-    values = st.sampled_from(sorted(scalars.values(), key=repr)) | _JSON_VALUES
+    values = st.sampled_from(sorted(scalars.values(), key=repr)) | leaves
     for _ in range(draw(st.integers(1, 3))):
         paths = [path for path, _ in _nested(doc)]
         if not paths:
@@ -778,6 +798,32 @@ class TestExitCodeContract:
             ]
             assert main(argv) in (0, 1, 2)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(doc=mutated(TRAIN_DOC), episodes=st.integers(1, 4))
+    def test_compare_config(self, doc, episodes):
+        with tempfile.TemporaryDirectory() as tmp:
+            graph = Path(tmp, "g.json")
+            graph.write_text(json.dumps(GAUNTLET_DOC), encoding="utf-8")
+            config = Path(tmp, "cfg.json")
+            config.write_text(json.dumps(doc), encoding="utf-8")
+            argv = [
+                "compare", str(graph), "--out", str(Path(tmp, "run")),
+                "--config", str(config), "--episodes", str(episodes),
+            ]
+            assert main(argv) in (0, 1, 2)
+
+    # Counts past the size caps must exit 1, not build until memory runs out.
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(doc=mutated(TOPOLOGY_DOC, _JSON_VALUES | st.sampled_from([10**6, 2**70])))
+    @example(doc={**TOPOLOGY_DOC, "num_subnets": 2**70})
+    @example(doc={**TOPOLOGY_DOC, "inter_edge_count": 2**70})
+    def test_gen_config(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp, "topology.json")
+            config.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["gen", "--config", str(config), "--out", str(Path(tmp, "g.json"))]
+            assert main(argv) in (0, 1, 2)
+
 
 def _out_of_memory_when(original, too_large, message):
     """``original``, except that a call whose arguments ``too_large``
@@ -798,10 +844,10 @@ HUGE = 100_000_000_000
 @pytest.mark.parametrize(
     "command, doc, module, name, too_large, message",
     [
-        # generate draws an (h, h) block per subnet: 7.28 TiB here.
-        ("gen", {**SMALL_TOPOLOGY, "hosts_per_subnet": 1_000_000}, cli, "generate",
-         lambda params: params.hosts_per_subnet == 1_000_000,
-         "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) "
+        # generate draws an (h, h) block per subnet, 128 MiB at the cap.
+        ("gen", {**SMALL_TOPOLOGY, "hosts_per_subnet": 4_096}, cli, "generate",
+         lambda params: params.hosts_per_subnet == 4_096,
+         "Unable to allocate 128. MiB for an array with shape (4096, 4096) "
          "and data type float64"),
         ("train", {"algorithm": "dqn", "replay_capacity": HUGE}, solver, "ReplayBuffer",
          lambda capacity: capacity == HUGE,

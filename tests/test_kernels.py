@@ -5,8 +5,8 @@ same seeds must yield the same artifacts regardless of which backend built
 them.  These tests compare the compiled episode dispatcher against its pure
 Python twin, the numpy backend's lists and PCG64 replay against arrays and
 the Generator, a run of episodes in one loop call against one call per
-episode, and value iteration's vectorized backup against the scalar sweep
-in oracles.py.  They also check what ``_kernels`` prepares for the loop,
+episode, and the Jacobi reference's vectorized backup against the scalar
+sweep, both in oracles.py.  They also check what ``_kernels`` prepares for the loop,
 and that ``solver`` leaves every backend choice to it.
 """
 
@@ -27,10 +27,10 @@ from hypothesis import strategies as st
 from cybermdp import _kernels, solver
 from conftest import make_mdp
 from cybermdp._kernels import _BLOCK, _NO_LANDINGS, Pcg64Replay, _episode_loop
-from cybermdp.mdp import Mdp, build_cvss_mdp, value_iteration
+from cybermdp.mdp import Mdp, build_cvss_mdp
 from cybermdp.netgen import TopologyParams, generate
 from cybermdp.solver import TrainConfig, train
-from oracles import scalar_value_iteration
+from oracles import jacobi_value_iteration, scalar_value_iteration
 
 needs_numba = pytest.mark.skipif(
     not _kernels.HAS_NUMBA, reason="numba backend not active"
@@ -48,7 +48,7 @@ def fresh_gen(seed: int = 0) -> np.random.Generator:
 
 
 def assert_matches_scalar_loop(mdp, tol, max_iters):
-    res = value_iteration(mdp, tol=tol, max_iters=max_iters)
+    res = jacobi_value_iteration(mdp, tol=tol, max_iters=max_iters)
     values, iterations, residual = scalar_value_iteration(mdp, tol, max_iters)
     assert res.iterations == iterations
     assert res.residual == residual

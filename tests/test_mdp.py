@@ -2,7 +2,8 @@
 
 The derived quantities (DFS depths, optimal values) are checked against
 independent oracles in oracles.py: a literal recursive DFS, an exact linear
-solve per policy, and exhaustive policy enumeration on small processes.
+solve per policy, exhaustive policy enumeration on small processes, and
+the Jacobi value iteration that the exact solve replaced.
 """
 
 from __future__ import annotations
@@ -35,12 +36,17 @@ from cybermdp.mdp import (
     serialize_mdp,
     value_iteration,
 )
-from cybermdp.netgen import TopologyParams, generate, plant_gauntlet
+from cybermdp.cli import DESK_SCALE
+from cybermdp.netgen import ENTERPRISE_SCALE, TopologyParams, generate, plant_gauntlet
 from cybermdp.solver import TabularQ
+from cybermdp.terrain import TerrainConfig, TerrainMode, apply_terrain
 from oracles import (
     action_slot,
     action_target,
     enumerate_optimal_values,
+    expected_vertex_count,
+    jacobi_value_iteration,
+    policy_success_path,
     policy_values,
     recursive_dfs_depths,
     reward,
@@ -70,6 +76,49 @@ def random_dag_like_graph(rng: np.random.Generator, n: int) -> AttackGraph:
             if i != j and j != i + 1 and rng.random() < 0.15:
                 edges.append((f"v{i}", f"v{j}"))
     return make_graph(vertices, tuple(edges), "v0", f"v{n - 1}")
+
+
+def small_params(rng: np.random.Generator) -> TopologyParams:
+    """Generator knobs drawn until the topology has at most 30 vertices."""
+
+    while True:
+        params = TopologyParams(
+            num_subnets=int(rng.integers(1, 5)),
+            hosts_per_subnet=int(rng.integers(2, 9)),
+            intra_edge_prob=float(rng.uniform(0.05, 0.5)),
+            inter_edge_count=int(rng.integers(1, 4)),
+            firewall_prob=float(rng.uniform(0.2, 0.8)),
+            seed=int(rng.integers(0, 2**31)),
+        )
+        if expected_vertex_count(params) <= 30:
+            return params
+
+
+def variant(mdp: Mdp, graph: AttackGraph, mode: TerrainMode) -> Mdp:
+    strength = -2.0 if mode is TerrainMode.REWARD else 0.0
+    return apply_terrain(mdp, graph, TerrainConfig(mode, strength))
+
+
+def assert_matches_jacobi_reference(graph: AttackGraph, tol: float = 1e-8) -> None:
+    """The exact solve picks the reference's policy, and its values lie
+    within the reference's error bound tol * gamma / (1 - gamma)."""
+
+    for gamma in (0.5, 0.9, 0.99):
+        base = build_cvss_mdp(graph, gamma=gamma)
+        for mode in TerrainMode:
+            mdp = variant(base, graph, mode)
+            res = value_iteration(mdp, tol=tol)
+            ref = jacobi_value_iteration(mdp, tol=tol)
+            np.testing.assert_array_equal(res.policy, ref.policy)
+            # rtol covers the exact solve's own rounding.
+            np.testing.assert_allclose(
+                res.values, ref.values, rtol=1e-12, atol=tol * gamma / (1.0 - gamma)
+            )
+
+
+@pytest.fixture(scope="module")
+def enterprise_graph() -> AttackGraph:
+    return generate(ENTERPRISE_SCALE)
 
 
 class TestRewardModel:
@@ -478,23 +527,28 @@ class TestValueIteration:
             res.values[0] = 1.0
 
     def test_convergence_error_carries_residual(self):
-        mdp = make_mdp(states=("a", "t"), actions=[[(1, 0.9, 100.0)], []], gamma=0.9)
-        with pytest.raises(ConvergenceError) as err:
-            value_iteration(mdp, tol=1e-12, max_iters=2)
-        assert err.value.residual > 1e-12
+        # b's first slot cycles back to a, so the first policy evaluated
+        # collects reward forever at gamma = 1.
+        mdp = make_mdp(
+            states=("a", "b", "t"),
+            actions=[[(1, 0.9, 1.0)], [(0, 0.9, 1.0), (2, 0.9, 100.0)], []],
+            gamma=1.0,
+        )
+        with pytest.raises(ConvergenceError, match="cycles at gamma = 1") as err:
+            value_iteration(mdp)
+        assert err.value.residual == np.inf
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_values_raise_instead_of_returning_nan(self):
-        # A finite but huge self-loop reward overflows to inf on the second
-        # sweep and to NaN on the third; a NaN residual must not pass as
-        # converged.
+        # The first slot is a huge self-loop reward whose value overflows to
+        # inf and then NaN; the NaN residual must not pass as converged.
         mdp = make_mdp(
             states=("a", "t"),
             actions=[[(0, 1.0, 1e308), (1, 0.5, 1.0)], []],
             gamma=0.999,
         )
-        with pytest.raises(ConvergenceError) as err:
-            value_iteration(mdp, max_iters=50)
+        with pytest.raises(ConvergenceError, match="residual") as err:
+            value_iteration(mdp)
         assert not np.isfinite(err.value.residual)
 
     def test_policy_is_lowest_index_argmax_of_action_values(self):
@@ -519,14 +573,12 @@ class TestValueIteration:
                 expected = int(np.argmax(q)) if q.size else -1
                 assert res.policy[s] == expected
 
-    # An infinite tolerance would pass one sweep off as converged, and a NaN
-    # one would run every sweep before failing.
+    # An infinite or NaN tolerance would pass any residual off as verified.
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"tol": 0.0},
             {"tol": -1e-8},
-            {"max_iters": 0},
             {"tol": float("inf")},
             {"tol": float("nan")},
         ],
@@ -557,6 +609,68 @@ class TestValueIteration:
                 best = enumerate_optimal_values(mdp)
                 np.testing.assert_allclose(res.values, best, atol=1e-6)
 
+    @pytest.mark.parametrize("gamma", [0.9, 0.999])
+    def test_enterprise_residual_in_every_mode(self, enterprise_graph, gamma):
+        base = build_cvss_mdp(enterprise_graph, gamma=gamma)
+        for mode in TerrainMode:
+            res = value_iteration(variant(base, enterprise_graph, mode))
+            assert res.residual <= 1e-10, mode
+
+    def test_matches_jacobi_reference_on_fixtures(
+        self, chain_graph, dead_end_graph, gauntlet_ftp, gauntlet_all
+    ):
+        desk = generate(DESK_SCALE)
+        for graph in (chain_graph, dead_end_graph, gauntlet_ftp, gauntlet_all, desk):
+            assert_matches_jacobi_reference(graph)
+
+    def test_matches_jacobi_reference_on_generated_graphs(self):
+        rng = np.random.default_rng(26)
+        for _ in range(50):
+            assert_matches_jacobi_reference(generate(small_params(rng)))
+
+    def test_matches_dense_policy_values(self, enterprise_graph):
+        rng = np.random.default_rng(7)
+        graphs = [generate(DESK_SCALE), enterprise_graph]
+        graphs += [generate(small_params(rng)) for _ in range(10)]
+        graphs += [random_dag_like_graph(rng, n) for n in (5, 8, 12)]
+        cycles = 0
+        for graph in graphs:
+            for gamma in (0.5, 0.9, 0.99, 0.999):
+                mdp = build_cvss_mdp(graph, gamma=gamma)
+                res = value_iteration(mdp)
+                exact = policy_values(mdp, res.policy)
+                np.testing.assert_allclose(res.values, exact, rtol=1e-9, atol=0.0)
+                path = policy_success_path(mdp, res.policy)
+                cycles += path[-1] in path[:-1]
+        # The checks cover policies that farm a cycle, not only chains.
+        assert cycles > 0
+
+    def test_gamma_one_behaves_as_the_reference(self, gauntlet_ftp):
+        mdp = build_cvss_mdp(gauntlet_ftp, gamma=1.0)
+        res = value_iteration(mdp)
+        ref = jacobi_value_iteration(mdp)
+        np.testing.assert_array_equal(res.policy, ref.policy)
+        np.testing.assert_allclose(res.values, ref.values, rtol=0.0, atol=1e-8)
+        desk = build_cvss_mdp(generate(DESK_SCALE), gamma=1.0)
+        for solve in (value_iteration, jacobi_value_iteration):
+            with pytest.raises(ConvergenceError):
+                solve(desk)
+
+    def test_zero_probability_slot_at_gamma_one(self):
+        # b's one slot never succeeds, so b stays put for nothing: value 0,
+        # not the 0/0 of its chain coefficients (a warning fails the suite).
+        mdp = make_mdp(
+            states=("a", "b", "t"),
+            actions=[[(2, 0.5, 10.0), (1, 0.9, 1.0)], [(2, 0.0, 5.0)], []],
+            gamma=1.0,
+        )
+        res = value_iteration(mdp)
+        assert res.values.tolist() == [10.0, 0.0, 0.0]
+        assert res.policy.tolist() == [0, 0, -1]
+        ref = jacobi_value_iteration(mdp)
+        np.testing.assert_array_equal(res.policy, ref.policy)
+        np.testing.assert_allclose(res.values, ref.values, atol=1e-8)
+
     def test_action_values_definition(self):
         mdp = make_mdp(
             states=("a", "t"),
@@ -568,6 +682,48 @@ class TestValueIteration:
         expected0 = 0.9 * (10.0 + 0.9 * 7.0) + 0.1 * 0.9 * 3.0
         expected1 = 0.5 * (2.0 + 0.9 * 3.0) + 0.5 * 0.9 * 3.0
         np.testing.assert_allclose(q, [expected0, expected1], atol=EXACT)
+
+
+class TestJacobiReference:
+    """The sweep that was the package's exact solver, kept in oracles.py as
+    the reference the exact solve is checked against."""
+
+    def test_convergence_error_carries_residual(self):
+        mdp = make_mdp(states=("a", "t"), actions=[[(1, 0.9, 100.0)], []], gamma=0.9)
+        with pytest.raises(ConvergenceError) as err:
+            jacobi_value_iteration(mdp, tol=1e-12, max_iters=2)
+        assert err.value.residual > 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_values_raise_instead_of_returning_nan(self):
+        # A finite but huge self-loop reward overflows to inf on the second
+        # sweep and to NaN on the third; a NaN residual must not pass as
+        # converged.
+        mdp = make_mdp(
+            states=("a", "t"),
+            actions=[[(0, 1.0, 1e308), (1, 0.5, 1.0)], []],
+            gamma=0.999,
+        )
+        with pytest.raises(ConvergenceError) as err:
+            jacobi_value_iteration(mdp, max_iters=50)
+        assert not np.isfinite(err.value.residual)
+
+    # An infinite tolerance would pass one sweep off as converged, and a NaN
+    # one would run every sweep before failing.
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": 0.0},
+            {"tol": -1e-8},
+            {"max_iters": 0},
+            {"tol": float("inf")},
+            {"tol": float("nan")},
+        ],
+    )
+    def test_input_validation(self, chain_graph, kwargs):
+        mdp = build_cvss_mdp(chain_graph)
+        with pytest.raises(ValueError):
+            jacobi_value_iteration(mdp, **kwargs)
 
 
 class TestSerialization:

@@ -19,6 +19,8 @@ from cybermdp.graph import (
 )
 from cybermdp.netgen import (
     ENTERPRISE_SCALE,
+    MAX_HOSTS_PER_SUBNET,
+    MAX_VERTICES,
     TopologyParams,
     generate,
     plant_gauntlet,
@@ -54,6 +56,28 @@ class TestTopologyParams:
     def test_rejects_out_of_range(self, overrides):
         with pytest.raises(ValueError):
             params_with(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"hosts_per_subnet": MAX_HOSTS_PER_SUBNET + 1}, "hosts_per_subnet must be at most"),
+            ({"num_subnets": 2**70}, "vertices, over"),
+            ({"inter_edge_count": 2**70}, "vertices, over"),
+            # One vertex past the largest topology below.
+            ({"num_subnets": 2, "hosts_per_subnet": 4_096, "inter_edge_count": 91_807},
+             "100,001 vertices"),
+        ],
+    )
+    def test_rejects_topologies_over_the_size_caps(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            params_with(**overrides)
+
+    def test_size_caps_are_inclusive(self):
+        largest = params_with(
+            num_subnets=2, hosts_per_subnet=MAX_HOSTS_PER_SUBNET, inter_edge_count=91_806
+        )
+        assert expected_vertex_count(largest) == MAX_VERTICES == 100_000
+        assert MAX_HOSTS_PER_SUBNET == 4_096
 
     def test_rejects_single_host_topology(self):
         with pytest.raises(ValueError, match="2 host vertices"):

@@ -88,6 +88,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer"):
             config_with(**{field: value})
 
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    @pytest.mark.parametrize(
+        "field", ["learning_rate", "learning_rate_decay", "epsilon_start", "epsilon_end"]
+    )
+    def test_rejects_non_number_rates(self, field, value):
+        # Let through, True read as 1.0 and a string failed with a bare
+        # TypeError from the first range check.
+        with pytest.raises(ValueError, match=rf"^{field} must be a number"):
+            config_with(**{field: value})
+
     def test_numpy_integer_counts_accepted(self):
         cfg = config_with(episodes=np.int64(5), seed=np.uint32(3), hidden_layers=(np.int32(4),))
         assert (cfg.episodes, cfg.seed, cfg.hidden_layers) == (5, 3, (4,))
