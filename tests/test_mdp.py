@@ -579,6 +579,7 @@ class TestValueIteration:
         [
             {"tol": 0.0},
             {"tol": -1e-8},
+            {"tol": float("-inf")},
             {"tol": float("inf")},
             {"tol": float("nan")},
         ],
